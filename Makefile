@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test test-net test-recovery test-replication test-fleet test-verify test-scenarios bench bench-quick bench-load bench-net bench-recovery bench-replication bench-fleet bench-verify bench-scenarios bench-baseline chaos-quick chaos-recovery chaos-replication chaos-fleet chaos-scenarios
+.PHONY: perfbench test-perfbench test test-net test-recovery test-replication test-fleet test-verify test-scenarios bench bench-quick bench-load bench-net bench-recovery bench-replication bench-fleet bench-verify bench-scenarios bench-baseline chaos-quick chaos-recovery chaos-replication chaos-fleet chaos-scenarios
 
 # Tier-1: the fast correctness suite (every test under tests/).
 test:
@@ -43,8 +43,20 @@ test-verify:
 test-scenarios:
 	$(PY) -m pytest tests/ -q -m scenario
 
-# Network datapath gate: kernel fast path (batched ingress + fused
-# engine, best point on the pps-vs-batch-size curve) must beat the
+# Repository benchmark (perfbench/, see perfbench/METRICS.md): one
+# workload end to end, server and load generator in separate
+# processes.  W is mc-udp-read, mc-tcp-durable-k1 or ext-load.
+W ?= mc-udp-read
+SEED ?= 1
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 30
+
+# The benchmark's own tests (excluded from tier-1 like the other gates).
+test-perfbench:
+	python3 -m pytest perfbench -q
+
+# Network datapath gate: kernel fast path (batched ingress + compiled
+# engine tier, best point on the pps-vs-batch-size curve) must beat the
 # userspace-fallback leg by >= 3x in open-loop pps; also checks
 # regression vs the committed baseline in
 # benchmarks/results/BENCH_net.json.

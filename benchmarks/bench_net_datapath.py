@@ -54,7 +54,7 @@ HERE = pathlib.Path(__file__).parent
 BASELINE_JSON = HERE / "results" / "BENCH_net.json"
 
 #: Acceptance floor: kernel fast path >= 3x userspace fallback
-#: (open-loop pps, batched ingress + fused engine).
+#: (open-loop pps, batched ingress + compiled engine tier).
 SPEEDUP_FLOOR = 3.0
 #: Wall-clock socket benchmarks are noisy; gate loosely vs baseline.
 REGRESSION_TOLERANCE = 0.50

@@ -460,7 +460,6 @@ class KFlexRuntime:
         *,
         engine: str | None = None,
         supervisor_policy=None,
-        fuse=None,
         verify_service=None,
     ):
         self.kernel = kernel or Kernel()
@@ -485,18 +484,15 @@ class KFlexRuntime:
         #: bpffs analog: maps pinned by path, refcounted independently
         #: of the extensions using them (repro.state).
         self.pins = PinRegistry()
-        #: The staged load path (verify → instrument → lower → fuse →
-        #: translate) with its content-addressed program cache and
-        #: per-stage statistics.  One per runtime: cache keys embed
-        #: concrete heap/map addresses, which are only unique within
-        #: one kernel address space.  ``fuse`` overrides the
-        #: superinstruction config (False disables, a FuseConfig tunes).
-        #: ``verify_service`` routes the verify stage through a
+        #: The staged load path (verify → instrument → lower →
+        #: translate, plus the lazy codegen stage of hot engines) with
+        #: its content-addressed program cache and per-stage
+        #: statistics.  One per runtime: cache keys embed concrete
+        #: heap/map addresses, which are only unique within one kernel
+        #: address space.  ``verify_service`` routes the verify stage through a
         #: :class:`repro.verify.VerificationService` (queue + workers +
         #: differential memo); None keeps the serial in-process path.
-        self.pipeline = CompilationPipeline(
-            fuse=fuse, verify_service=verify_service
-        )
+        self.pipeline = CompilationPipeline(verify_service=verify_service)
 
     # -- fault injection ------------------------------------------------------
 

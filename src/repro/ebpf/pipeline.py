@@ -43,6 +43,9 @@ per-stage payloads:
 * ``instrument`` and ``lower`` additionally key on the concrete heap
   base, because relocation burns absolute heap/map addresses into the
   bytecode.
+* ``codegen`` (the execution engine's compiled tier, filled lazily by
+  engines that turn hot, never at load) keys on the lowered program's
+  placement plus the SMAP flag.
 
 Any difference in elision, mode, perf mode, or heap size therefore
 lands on a different key — stale artifacts can never be served.  The
@@ -55,16 +58,14 @@ cache is bounded (LRU) and counts hits/misses/evictions per stage;
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 
 from repro.errors import LoadError
 from repro.ebpf import isa, jit
-from repro.ebpf.engine import make_engine
-from repro.ebpf.interpreter import ALU_BINOPS, JMP_TESTS
+from repro.ebpf.engine import CompiledProgram, TierStats, compile_program, make_engine
 from repro.ebpf.program import Program
 from repro.ebpf.verifier import Analysis, Verifier, VerifierConfig
 from repro.sim.metrics import StageStats
@@ -183,167 +184,6 @@ class LoweredProgram:
 
 
 @dataclass(frozen=True)
-class FuseConfig:
-    """Superinstruction-fusion knobs.  Every field is folded into the
-    fuse stage's cache key (see :func:`fuse_config_key`), so fused and
-    unfused artifacts can never collide in the :class:`ProgramCache`."""
-
-    #: Master switch; ``False`` produces an empty plan (the escape
-    #: hatch behind ``kflexctl --no-fuse`` / ``REPRO_FUSE=0``).
-    enabled: bool = True
-    #: Longest run of instructions collapsed into one fused closure.
-    max_len: int = 8
-    #: Also fuse the LDX -> GUARD -> STX heap read-modify-write idiom
-    #: (deoptimizes to single-step execution on any fast-path miss).
-    mem_idioms: bool = True
-
-
-def fuse_config_key(config: FuseConfig | None) -> tuple:
-    """Field-by-field key, same convention as :func:`config_key`: a new
-    fusion knob automatically becomes part of the cache key."""
-    if config is None:
-        return ("nofuse",)
-    return tuple(
-        (f.name, getattr(config, f.name)) for f in dataclass_fields(config)
-    )
-
-
-def default_fuse_config() -> FuseConfig:
-    """Process-default fusion config (``REPRO_FUSE=0`` disables)."""
-    return FuseConfig(enabled=os.environ.get("REPRO_FUSE", "1") != "0")
-
-
-def _fusible_member(insn, has_heap: bool) -> bool:
-    """True for straight-line instructions that can never raise: safe
-    to execute mid-superinstruction, where a fault could not be
-    attributed to the right instruction index."""
-    cls = insn.opcode & isa.CLASS_MASK
-    if cls == isa.BPF_ALU64 or cls == isa.BPF_ALU:
-        op = insn.opcode & isa.OP_MASK
-        if op == isa.BPF_END:
-            return insn.imm in (16, 32, 64)
-        if op == isa.BPF_NEG:
-            return True
-        return op in ALU_BINOPS
-    if cls == isa.BPF_LD:
-        return insn.is_ld_imm64
-    if insn.opcode == isa.KFLEX_GUARD:
-        # The guard is pure arithmetic over burned heap constants; it
-        # compiles to a raiser without a heap, so only fuse with one.
-        return has_heap
-    return False
-
-
-def _fusible_terminal(insn) -> bool:
-    """True for instructions allowed to *end* a fused block.  They may
-    raise (CALL helper faults, EXIT, CANCELPT) — the engine points the
-    pc at the terminal before executing the block, so fault attribution
-    stays exact."""
-    cls = insn.opcode & isa.CLASS_MASK
-    if cls != isa.BPF_JMP and cls != isa.BPF_JMP32:
-        return False
-    if insn.opcode in (isa.KFLEX_GUARD, isa.KFLEX_TRANSLATE):
-        return False
-    if insn.opcode == isa.KFLEX_CANCELPT:
-        return True
-    if insn.is_call or insn.is_exit:
-        return True
-    op = insn.opcode & isa.OP_MASK
-    return op == isa.BPF_JA or op in JMP_TESTS
-
-
-def compute_fuse_plan(insns, config: FuseConfig, *, has_heap: bool) -> tuple:
-    """Scan a lowered instruction list for fusible runs.
-
-    Returns an immutable plan: ``((start, length, kind), ...)`` with
-    non-overlapping blocks in program order.  Kinds:
-
-    * ``"mem"`` — the LDX -> GUARD -> STX heap idiom (fast-path only,
-      deoptimizes on a cache miss);
-    * ``"mov"`` — a run of register moves;
-    * ``"alu"`` — a straight-line arithmetic run;
-    * ``"alu_jmp"`` — an arithmetic run absorbed into its terminal
-      branch / call / exit / cancellation point.
-
-    Jumping *into* the middle of a block is always legal: the engine
-    keeps the unfused handler at every index, so a mid-block entry
-    simply executes single-stepped.
-    """
-    if not config.enabled:
-        return ()
-    plan = []
-    n = len(insns)
-    max_len = max(2, config.max_len)
-    i = 0
-    while i < n:
-        if config.mem_idioms and has_heap and i + 2 < n:
-            ldx, g, stx = insns[i], insns[i + 1], insns[i + 2]
-            if (
-                (ldx.opcode & isa.CLASS_MASK) == isa.BPF_LDX
-                and g.opcode == isa.KFLEX_GUARD
-                and g.dst == ldx.dst
-                and (stx.opcode & isa.CLASS_MASK) == isa.BPF_STX
-                and not stx.is_atomic
-                and stx.dst == g.dst
-                and stx.src != g.dst
-            ):
-                plan.append((i, 3, "mem"))
-                i += 3
-                continue
-        if _fusible_member(insns[i], has_heap):
-            j = i + 1
-            while j < n and j - i < max_len and _fusible_member(insns[j], has_heap):
-                j += 1
-            kind = "mov" if all(
-                (x.opcode & isa.OP_MASK) == isa.BPF_MOV
-                and (x.opcode & isa.CLASS_MASK) in (isa.BPF_ALU64, isa.BPF_ALU)
-                for x in insns[i:j]
-            ) else "alu"
-            if j < n and j - i < max_len and _fusible_terminal(insns[j]):
-                j += 1
-                kind = "alu_jmp"
-            if j - i >= 2:
-                plan.append((i, j - i, kind))
-                i = j
-                continue
-        i += 1
-    return tuple(plan)
-
-
-@dataclass(frozen=True)
-class FusedProgram:
-    """Stage 3.5 output: the lowered program plus a superinstruction
-    plan.  Proxies the :class:`LoweredProgram` surface so downstream
-    consumers (the runtime, tools, tests) are agnostic to whether the
-    fuse stage ran."""
-
-    lowered: LoweredProgram
-    #: ``((start, length, kind), ...)`` — see :func:`compute_fuse_plan`.
-    plan: tuple
-    fuse_config: FuseConfig
-
-    @property
-    def jprog(self) -> jit.JitProgram:
-        return self.lowered.jprog
-
-    @property
-    def instrumented(self) -> InstrumentedProgram:
-        return self.lowered.instrumented
-
-    @property
-    def raw(self) -> RawProgram:
-        return self.lowered.raw
-
-    @property
-    def kprog(self):
-        return self.lowered.kprog
-
-    @property
-    def analysis(self) -> Analysis | None:
-        return self.lowered.analysis
-
-
-@dataclass(frozen=True)
 class TranslatedProgram:
     """Stage 4 output: one engine bound to one ExecEnv.  Pooled per
     (extension, CPU) — the closures close over the environment, so this
@@ -412,6 +252,12 @@ class ProgramCache:
         self.stats.hits += 1
         st["hits"] += 1
         return payload
+
+    def peek(self, stage: str, key: tuple):
+        """Like :meth:`get`, but a miss is not counted (a caller probing
+        for work someone else already did)."""
+        payload = self._entries.get((stage, key))
+        return None if payload is None else self.get(stage, key)
 
     def put(self, stage: str, key: tuple, payload) -> None:
         k = (stage, key)
@@ -579,43 +425,6 @@ class LowerPass(Pass):
         return LoweredProgram(art, payload)
 
 
-class FusePass(Pass):
-    """Superinstruction fusion: collapse hot straight-line runs of the
-    lowered program into single fused closures for the threaded-code
-    engine (ALU chains into their terminal branch, MOV chains, the
-    LDX -> GUARD -> STX heap idiom).
-
-    The pass computes a *plan* over instruction indices; the engine
-    composes its own per-instruction closures accordingly at translate
-    time, charging exactly the same per-instruction steps and costs, so
-    ``ExecResult`` is bit-identical with the pass on or off.  The plan
-    depends on the placement-keyed bytecode and every
-    :class:`FuseConfig` field, so fused and unfused artifacts occupy
-    distinct :class:`ProgramCache` keys.
-    """
-
-    name = "fuse"
-
-    def __init__(self, config: FuseConfig | None = None):
-        self.config = config if config is not None else default_fuse_config()
-
-    def cache_key(self, art: LoweredProgram) -> tuple:
-        return art.raw.placement_key() + (fuse_config_key(self.config),)
-
-    def run(self, art: LoweredProgram) -> FusedProgram:
-        plan = compute_fuse_plan(
-            art.jprog.insns, self.config,
-            has_heap=art.raw.heap is not None,
-        )
-        return FusedProgram(art, plan, self.config)
-
-    def payload(self, out: FusedProgram):
-        return out.plan
-
-    def rebuild(self, art: LoweredProgram, payload) -> FusedProgram:
-        return FusedProgram(art, payload, self.config)
-
-
 # ---------------------------------------------------------------------------
 # Pass manager
 # ---------------------------------------------------------------------------
@@ -692,7 +501,7 @@ class PassManager:
 
 
 def default_passes() -> list[Pass]:
-    return [VerifyPass(), InstrumentPass(), LowerPass(), FusePass()]
+    return [VerifyPass(), InstrumentPass(), LowerPass()]
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +522,8 @@ class PipelineStats:
     translations: int = 0
     #: Invocations served by an already-translated pooled engine.
     pool_hits: int = 0
+    #: Compiled-tier counters of every engine this pipeline translated.
+    tier: TierStats = field(default_factory=TierStats)
 
     def record_stage(self, name: str, ns: float, *, cached: bool = False) -> None:
         st = self.stages.get(name)
@@ -726,6 +537,7 @@ class PipelineStats:
             "warm_loads": self.warm_loads,
             "translations": self.translations,
             "pool_hits": self.pool_hits,
+            "tier": asdict(self.tier),
             "stages": {k: v.as_dict() for k, v in self.stages.items()},
         }
 
@@ -741,15 +553,9 @@ class CompilationPipeline:
 
     def __init__(self, *, cache: ProgramCache | None = None,
                  passes: PassManager | None = None,
-                 fuse: FuseConfig | bool | None = None,
                  verify_service=None):
         self.cache = cache if cache is not None else ProgramCache()
         self.passes = passes if passes is not None else PassManager()
-        if fuse is not None:
-            cfg = fuse if isinstance(fuse, FuseConfig) else FuseConfig(
-                enabled=bool(fuse)
-            )
-            self.passes.replace("fuse", FusePass(cfg))
         self.verify_service = verify_service
         if verify_service is not None:
             self.passes.replace("verify", VerifyPass(verify_service))
@@ -790,11 +596,39 @@ class CompilationPipeline:
             env,
             costs=lowered.jprog.costs,
             helper_costs=lowered.jprog.helper_costs,
-            plan=getattr(lowered, "plan", None),
+            codegen=lambda smap, compile: self.codegen(
+                lowered, smap, compile=compile
+            ),
+            tier_stats=self.stats.tier,
         )
         self.stats.record_stage("translate", time.perf_counter_ns() - t0)
         self.stats.translations += 1
         return TranslatedProgram(lowered, engine_name, cpu, engine)
+
+    def codegen(self, lowered: LoweredProgram, smap: bool, *,
+                compile: bool = True) -> CompiledProgram | None:
+        """The compiled tier's code for a lowered program, generated at
+        most once per (placement, SMAP flag) and shared by every engine
+        bound to it.  Engines call this lazily when they turn hot (never
+        at load); ``compile=False`` only returns existing code."""
+        t0 = time.perf_counter_ns()
+        key = lowered.raw.placement_key() + (("smap", bool(smap)),)
+        code = (self.cache.get if compile else self.cache.peek)("codegen", key)
+        hit = code is not None
+        if not hit:
+            if not compile:
+                return None
+            heap = lowered.raw.heap
+            jprog = lowered.jprog
+            code = compile_program(
+                jprog.insns, jprog.costs, jprog.helper_costs, smap=smap,
+                heap_span=None if heap is None else (heap.base, heap.size),
+            )
+            self.cache.put("codegen", key, code)
+        self.stats.record_stage(
+            "codegen", time.perf_counter_ns() - t0, cached=hit
+        )
+        return code
 
     # -- reporting --------------------------------------------------------
 
@@ -826,6 +660,11 @@ class CompilationPipeline:
                 f"{st.total_ns / 1e6:>8.2f}ms {st.mean_ns / 1e6:>8.3f}ms "
                 f"{st.max_ns / 1e6:>8.2f}ms"
             )
+        t = s.tier
+        lines.append(
+            f"compiled tier: {t.tier_ups} tier-ups, {t.deopts} checkpoint "
+            f"deopts, {t.fallback_sites} generic-path sites"
+        )
         c = self.cache.stats
         lines.append(
             f"cache: {len(self.cache)} entries, {c.hits} hits, "

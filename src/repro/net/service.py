@@ -510,7 +510,6 @@ def build_service(
     fallback: str = "supervised",
     engine: str | None = None,
     userspace=None,
-    fuse=None,
     **kflex_kwargs,
 ) -> PacketService:
     """Service factory shared by ``kflexctl serve`` and the benchmarks.
@@ -524,15 +523,12 @@ def build_service(
       delivery callable (e.g. a :class:`UserspaceBridge` request);
     * ``"none"`` — extension only; PASS verdicts are dropped.
 
-    ``fuse`` is the superinstruction escape hatch (``False`` disables
-    the pipeline's fuse pass; see ``kflexctl serve --no-fuse``).
-
     ``app="ratelimit"`` and ``app="l4lb"`` are the hostile-traffic
     tiers and ignore ``fallback``: the shedder fronts a durable
     memcached, the balancer fronts ``n_backends`` of them (each
     backend owning its own runtime and store).
     """
-    runtime = runtime or KFlexRuntime(engine=engine, fuse=fuse)
+    runtime = runtime or KFlexRuntime(engine=engine)
     if app == "ratelimit":
         from repro.apps.ratelimit import RateLimitConfig, RateLimitedService
         from repro.state import DurableStore, MemStorage

@@ -66,9 +66,9 @@ def pytest_collection_modifyitems(config, items):
             if not run_recovery:
                 item.add_marker(skip_recovery)
         else:
-            # ``fuse``- and ``verify_svc``-marked tests stay IN tier-1
-            # (the markers only make them selectable via `pytest -m
-            # fuse` / `pytest -m verify_svc`).
+            # ``compiled``- and ``verify_svc``-marked tests stay IN
+            # tier-1 (the markers only make them selectable via
+            # `pytest -m compiled` / `pytest -m verify_svc`).
             item.add_marker(pytest.mark.tier1)
 
 

@@ -34,7 +34,6 @@ from repro.ebpf.engine import (
 )
 from repro.ebpf.helpers import HelperTable
 from repro.ebpf.interpreter import ExecEnv, Interpreter
-from repro.ebpf.pipeline import FuseConfig, compute_fuse_plan
 from repro.kernel.addrspace import AddressSpace
 
 R = Reg
@@ -86,34 +85,41 @@ def assert_same(ri, rt, label=""):
         f"engine divergence {label}"
 
 
-#: Fusion config used by the differential harness, and a tally of how
-#: many harness runs actually executed fused superinstruction blocks —
-#: asserted non-vacuous by test_fused_parity_sweep_is_not_vacuous.
-_FUSE_CFG = FuseConfig()
-_FUSED_RUNS = {"runs": 0, "blocks": 0}
+#: Harness runs that actually executed compiled code — asserted
+#: non-vacuous by test_fused_parity_sweep_is_not_vacuous.
+_COMPILED_RUNS = {"runs": 0}
+
+
+def compiled_engine(insns, env, **kw) -> ThreadedEngine:
+    """A threaded engine with its compiled tier forced from run one."""
+    eng = ThreadedEngine(insns, env, **kw)
+    eng.tier_up()
+    assert eng._fn is not None
+    return eng
 
 
 def run_both(insns, *, setup=None, ctx_addr=0, max_steps=None, **env_kw):
-    """Run the interpreter, the unfused threaded engine, and (when the
-    program has fusible runs) the fused threaded engine over identical
-    fresh environments; assert three-way parity and return the
-    interpreter's result."""
+    """Run the interpreter, the threaded engine in tier 0 and the
+    threaded engine with its compiled tier forced over identical fresh
+    environments; assert three-way parity and return the interpreter's
+    result."""
     env_i = _fresh_env(setup, **env_kw)
     env_t = _fresh_env(setup, **env_kw)
+    env_c = _fresh_env(setup, **env_kw)
     ri = Interpreter(insns, env_i).run(ctx_addr, max_steps=max_steps)
     rt = ThreadedEngine(insns, env_t).run(ctx_addr, max_steps=max_steps)
-    assert_same(ri, rt)
-    plan = compute_fuse_plan(
-        insns, _FUSE_CFG, has_heap=env_kw.get("heap") is not None
+    assert_same(ri, rt, "(tier 0)")
+    eng = compiled_engine(insns, env_c)
+    rc = eng.run(ctx_addr, max_steps=max_steps)
+    assert_same(ri, rc, "(compiled)")
+    # A second run over the memory the first one left: compiled code
+    # now serves the regions its pointer kinds learned in the first.
+    assert_same(
+        Interpreter(insns, env_i).run(ctx_addr, max_steps=max_steps),
+        eng.run(ctx_addr, max_steps=max_steps),
+        "(compiled, second run)",
     )
-    if plan:
-        env_f = _fresh_env(setup, **env_kw)
-        eng_f = ThreadedEngine(insns, env_f, plan=plan)
-        rf = eng_f.run(ctx_addr, max_steps=max_steps)
-        assert_same(ri, rf, "(fused)")
-        if eng_f.fused_blocks:
-            _FUSED_RUNS["runs"] += 1
-            _FUSED_RUNS["blocks"] += eng_f.fused_blocks
+    _COMPILED_RUNS["runs"] += eng.compiled_runs
     return ri
 
 
@@ -404,32 +410,48 @@ def test_watchdog_callback_sequence_parity():
     assert len(seen["interp"][0]) > 5  # the watchdog actually fired
 
 
-# -- fused superinstruction parity --------------------------------------------
+# -- compiled-tier parity ------------------------------------------------------
+#
+# Every compiled block is one fused unit: it is charged its steps and
+# cost at its head, so these tests aim checkpoints and faults *inside*
+# blocks and require the interpreter's exact observables.
 
 
-@pytest.mark.fuse
+def force_tier_up(rt):
+    """Make every engine the runtime binds start in the compiled tier."""
+    translate = rt.pipeline.translate
+
+    def forced(*args, **kwargs):
+        tp = translate(*args, **kwargs)
+        if isinstance(tp.engine, ThreadedEngine):
+            tp.engine.tier_up()
+        return tp
+
+    rt.pipeline.translate = forced
+    return rt
+
+
+@pytest.mark.compiled
 def test_fused_parity_sweep_is_not_vacuous():
-    """A self-contained sweep across every generator: the fused engine
-    must agree bit-for-bit AND must actually have fused blocks — a
-    parity sweep that never fuses anything proves nothing."""
-    before = dict(_FUSED_RUNS)
+    """A self-contained sweep across every generator: the compiled tier
+    must agree bit-for-bit AND every harness run must actually have
+    executed compiled code — a parity sweep that never ran it proves
+    nothing."""
+    before = _COMPILED_RUNS["runs"]
     rng = random.Random(0xF5)
+    runs = 0
     for gen in (gen_alu, gen_branchy, gen_memory):
         for _ in range(25):
             run_both(gen(random.Random(rng.getrandbits(64))))
+            runs += 1
     for _ in range(25):
         run_both(gen_paged(random.Random(rng.getrandbits(64))),
                  setup=_paged_setup)
-    assert _FUSED_RUNS["runs"] > before["runs"]
-    assert _FUSED_RUNS["blocks"] > before["blocks"]
+        runs += 1
+    assert _COMPILED_RUNS["runs"] - before == 2 * runs
 
 
-@pytest.mark.fuse
-def test_fused_watchdog_schedule_parity():
-    """The hot loop body (ADD -> JCC) fuses into one superinstruction,
-    so watchdog checkpoints repeatedly land *inside* blocks; the engine
-    must single-step across those boundaries so the watchdog observes
-    the interpreter's exact (step, cost) schedule."""
+def _hot_loop():
     a = Assembler()
     loop = a.fresh_label()
     a.mov(R.R1, 0)
@@ -438,29 +460,41 @@ def test_fused_watchdog_schedule_parity():
     a.jcc("<", R.R1, 40_000, loop)
     a.mov(R.R0, R.R1)
     a.exit()
-    insns = a.assemble()
-    plan = compute_fuse_plan(insns, _FUSE_CFG, has_heap=False)
-    assert plan  # the loop body is a fusible run
+    return a.assemble()
+
+
+@pytest.mark.compiled
+def test_fused_watchdog_schedule_parity():
+    """The hot loop body (ADD -> JCC) is one compiled block, so
+    watchdog checkpoints repeatedly land *inside* it; the engine must
+    hand those blocks to tier 0 so the watchdog observes the
+    interpreter's exact (step, cost) schedule."""
+    insns = _hot_loop()
     seen = {}
+    engines = {}
     for name, make in (
         ("interp", lambda e: Interpreter(insns, e)),
-        ("fused", lambda e: ThreadedEngine(insns, e, plan=plan)),
+        ("compiled", lambda e: compiled_engine(insns, e)),
     ):
         calls = []
         env = _fresh_env(watchdog=calls.append)
-        eng = make(env)
+        eng = engines[name] = make(env)
         res = eng.run()
         assert res.ok
         seen[name] = (calls, res.ret, res.cost, res.steps)
-    assert seen["interp"] == seen["fused"]
+    assert seen["interp"] == seen["compiled"]
     assert len(seen["interp"][0]) > 5
+    eng = engines["compiled"]
+    assert eng.compiled_runs == 1
+    assert eng.tier.deopts == len(seen["interp"][0])  # one per checkpoint
 
 
-@pytest.mark.fuse
+@pytest.mark.compiled
 def test_fused_step_limit_lands_mid_block():
-    """Sweep the hard step limit across every phase of the fused loop
-    body: the stall fault must report identical steps/cost/pc whether
-    the limit falls on a block head, mid-block, or a boundary."""
+    """Sweep the hard step limit across every phase of the compiled
+    loop body: the stall fault must report identical steps/cost/pc
+    whether the limit falls on a block head, mid-block, or a
+    boundary."""
     a = Assembler()
     loop = a.fresh_label()
     a.mov(R.R1, 1)
@@ -469,29 +503,28 @@ def test_fused_step_limit_lands_mid_block():
     a.xor(R.R2, R.R1)
     a.jmp(loop)
     insns = a.assemble()
-    plan = compute_fuse_plan(insns, _FUSE_CFG, has_heap=False)
-    assert plan
-    for limit in range(5, 17):
+    for limit in range(0, 17):
         ri = Interpreter(insns, _fresh_env()).run(max_steps=limit)
-        rf = ThreadedEngine(insns, _fresh_env(), plan=plan).run(
-            max_steps=limit
-        )
-        assert_same(ri, rf, f"(stall at limit {limit})")
+        rc = compiled_engine(insns, _fresh_env()).run(max_steps=limit)
+        assert_same(ri, rc, f"(stall at limit {limit})")
         assert ri.fault is not None and ri.fault.kind == "stall"
 
 
-@pytest.mark.fuse
+@pytest.mark.compiled
 def test_fused_mem_idiom_runtime_parity():
-    """The LDX -> GUARD -> STX idiom at runtime level: the fast path
-    commits load+guard+store in one closure; an unpopulated target page
-    deoptimizes to single-step execution and must fault exactly like
-    the interpreter (same insn index, same cancellation accounting)."""
+    """The LDX -> GUARD -> STX heap idiom at runtime level: compiled
+    code serves load, guard and store from bound region handles; an
+    unpopulated target page takes the generic path mid-block and must
+    fault exactly like the interpreter (same insn index, same steps and
+    cost, same cancellation accounting)."""
     from repro.core.runtime import KFlexRuntime
     from repro.ebpf.macroasm import MacroAsm
     from repro.ebpf.program import Program
 
-    def trace(engine, fuse):
-        rt = KFlexRuntime(engine=engine, fuse=fuse)
+    def trace(engine, compiled):
+        rt = KFlexRuntime(engine=engine)
+        if compiled:
+            force_tier_up(rt)
         heap = rt.create_heap(1 << 16, name="memf")
         m = MacroAsm()
         m.heap_addr(R.R6, 0x40)
@@ -505,47 +538,230 @@ def test_fused_mem_idiom_runtime_parity():
         assert heap.reserve_static(64) == 0x40
         ctx = rt.make_ctx(0, [0] * 8)
         out = []
-        # Populated header page: the fused fast path commits.
+        # Populated header page: the bound heap handle serves it.
         rt.kernel.aspace.write_int(heap.base + 0x40, 0x80, 8)
         out.append((ext.invoke(ctx), describe_result(ext.last_result)))
         out.append(rt.kernel.aspace.read_int(heap.base + 0x80, 8))
-        # Unpopulated page: deopt -> slow path -> page-fault cancel.
+        # Unpopulated page: generic path -> page-fault cancel.
         rt.kernel.aspace.write_int(heap.base + 0x40, 0x8000, 8)
         ext.dead = False
         out.append((ext.invoke(ctx), describe_result(ext.last_result)))
         out.append(dict(ext.stats.cancellations_by_reason))
-        if engine == "threaded" and fuse is not False:
-            eng = ext._engines[0].engine
-            assert any(k == "mem" for _, _, k in eng.plan)
-            assert eng.fused_blocks > 0
+        if compiled:
+            assert ext._engines[0].engine.compiled_runs == 2
         return out
 
-    ti = trace("interp", None)
-    tu = trace("threaded", False)
-    tf = trace("threaded", None)
-    assert ti == tu == tf
+    ti = trace("interp", False)
+    t0 = trace("threaded", False)
+    tc = trace("threaded", True)
+    assert ti == t0 == tc
     assert ti[1] == 0xABCD  # the guarded store actually landed
+    assert ti[2][1][5][0] == "page"  # and the second run faulted
 
 
-@pytest.mark.fuse
+@pytest.mark.compiled
 def test_fused_injected_fault_parity():
-    """Same fault plan, same workload: fused and unfused threaded
-    execution produce bit-identical ExecResults and injector schedules
-    (and both match the interpreter via the default-on load path)."""
-    tu = _run_injected_ds("threaded", fuse=False)
-    tf = _run_injected_ds("threaded", fuse=None)
-    assert tu == tf
-    assert sum(tu[2].values()) > 0
+    """Same fault plan, same workload: the compiled tier produces
+    ExecResults and injector schedules bit-identical to the
+    interpreter's."""
+    ti = _run_injected_ds("interp")
+    tc = _run_injected_ds("threaded", compiled=True)
+    assert ti == tc
+    assert sum(tc[2].values()) > 0
+
+
+def _region_program():
+    """Load from KREGION, store R2 back one word later, return the load."""
+    a = Assembler()
+    a.ld_imm64(R.R6, KREGION)
+    a.ld_imm64(R.R2, 0x1122)
+    a.ldx(R.R0, R.R6, 0, 8)
+    a.stx(R.R6, R.R2, 8, 8)
+    a.exit()
+    return a.assemble()
+
+
+def _region_setup(aspace, env):
+    aspace.map_region(KREGION, 4096, "scratch")
+    aspace.write_int(KREGION, 0x77, 8)
+
+
+@pytest.mark.compiled
+def test_compiled_rebinds_on_generation_pkeys_and_store_policy():
+    """After tier-up, every change the region cache is keyed on — a
+    remap (generation), the active protection keys, the store policy —
+    rebinds the compiled code to fresh handles, and the result tracks
+    the interpreter's through each change."""
+    insns = _region_program()
+    env_i = _fresh_env(_region_setup)
+    env_c = _fresh_env(_region_setup)
+    interp = Interpreter(insns, env_i)
+    eng = compiled_engine(insns, env_c)
+
+    def both():
+        outs = []
+        for e, env in ((interp, env_i), (eng, env_c)):
+            try:
+                outs.append(describe_result(e.run()))
+            except KernelPanic as exc:
+                outs.append(("panic", str(exc)))
+        assert outs[0] == outs[1]
+        return outs[0]
+
+    def on_both(fn):
+        for env in (env_i, env_c):
+            fn(env.aspace, env)
+
+    assert both()[0] == 0x77
+    fn0 = eng._fn
+
+    def remap(aspace, env):  # same address, new backing and contents
+        aspace.unmap(KREGION)
+        region = aspace.map_region(KREGION, 4096, "scratch")
+        aspace.write_int(KREGION, 0x99, 8)
+        region.pkey = 3
+
+    on_both(remap)
+    assert both()[0] == 0x99
+    assert eng._fn is not fn0
+    fn1 = eng._fn
+
+    def lock_out(aspace, env):
+        aspace.active_pkeys = {5}
+
+    on_both(lock_out)
+    r = both()
+    assert r[5][0] == "page" and "protection-key" in r[5][4]
+    assert eng._fn is not fn1
+
+    def unlock(aspace, env):
+        aspace.active_pkeys = None
+        env.allowed_store_regions = ("stack:",)
+
+    on_both(unlock)
+    r = both()
+    assert r[0] == "panic" and "kernel-owned" in r[1]
+    assert eng.compiled_runs == 4
+
+
+@pytest.mark.compiled
+def test_compiled_reentrant_invocation():
+    """A helper that re-enters the running engine: the nested run gets
+    its own registers and helper-cost account, and both levels match
+    the interpreter."""
+    from repro.ebpf.helpers import BPF_KTIME_GET_NS
+
+    a = Assembler()
+    a.mov(R.R6, R.R1)
+    a.call(BPF_KTIME_GET_NS)
+    a.add(R.R0, R.R6)
+    a.exit()
+    insns = a.assemble()
+
+    def make(engine_of):
+        env = _fresh_env()
+        eng = engine_of(env)
+
+        def ktime(env_):
+            # Re-enter once, from the outer run only.
+            return 0 if ktime.depth else ktime.nested()
+
+        def nested():
+            ktime.depth += 1
+            try:
+                return eng.run(5).ret + 100
+            finally:
+                ktime.depth -= 1
+
+        ktime.depth = 0
+        ktime.nested = nested
+        env.helpers.bind(BPF_KTIME_GET_NS, ktime)
+        return eng
+
+    ri = make(lambda env: Interpreter(insns, env)).run(1)
+    eng = make(lambda env: compiled_engine(insns, env))
+    rc = eng.run(1)
+    assert_same(ri, rc, "(re-entrant)")
+    assert ri.ret == 1 + 5 + 100
+    assert eng.compiled_runs == 2
+
+
+@pytest.mark.compiled
+def test_invalidated_engines_bind_cached_code():
+    """``invalidate_engines()`` drops the pooled engines; their
+    replacements bind the cached code on their first run — one factory
+    call, no second codegen."""
+    from repro.core.runtime import KFlexRuntime
+
+    rt = KFlexRuntime()
+    heap = rt.create_heap(1 << 16, name="inval")
+    ds_prog = _hashmap_lookup_program(rt, heap)
+    ext = rt.load(ds_prog, heap=heap, attach=False)
+    ctx = rt.make_ctx(0, [0] * 8)
+    first = ext.invoke(ctx)
+    ext._engines[0].engine.tier_up()
+    tier = rt.pipeline.stats.tier
+    assert tier.tier_ups == 1
+    for cpu in (0, 1):
+        ext.invalidate_engines()
+        assert ext.invoke(ctx, cpu=cpu) == first
+        eng = ext._engines[cpu].engine
+        assert eng.compiled_runs == 1
+    st = rt.pipeline.stats.stages["codegen"]
+    assert st.runs - st.cached == 1  # generated once ...
+    assert st.cached == 2            # ... bound twice more from the cache
+    assert tier.tier_ups == 3
+
+
+def _hashmap_lookup_program(rt, heap):
+    from repro.ebpf.macroasm import MacroAsm
+    from repro.ebpf.program import Program
+
+    m = MacroAsm()
+    m.heap_addr(R.R6, 0x40)
+    m.ldx(R.R0, R.R6)
+    m.add(R.R0, 1)
+    m.exit()
+    return Program("inval", m.assemble(), hook="bench", heap_size=heap.size)
+
+
+@pytest.mark.compiled
+def test_engine_tiers_up_lazily_when_hot():
+    """Loading and binding an engine never generates code; the engine
+    tiers up by itself once it has run TIER_UP_STEPS_PER_INSN steps per
+    instruction, and then runs compiled."""
+    from repro.core.runtime import KFlexRuntime
+    from repro.ebpf.engine import TIER_UP_STEPS_PER_INSN
+
+    rt = KFlexRuntime()
+    heap = rt.create_heap(1 << 16, name="lazy")
+    ext = rt.load(_hashmap_lookup_program(rt, heap), heap=heap, attach=False)
+    ext.batch_invoker(0)
+    assert "codegen" not in rt.pipeline.stats.stages
+    eng = ext._engines[0].engine
+    ctx = rt.make_ctx(0, [0] * 8)
+    hot = TIER_UP_STEPS_PER_INSN * len(eng.insns)
+    steps = 0
+    while steps < hot:
+        assert eng.compiled_runs == 0
+        ext.invoke(ctx)
+        steps += ext.last_result.steps
+    ext.invoke(ctx)
+    assert eng.compiled_runs == 1
+    assert rt.pipeline.stats.tier.tier_ups == 1
+    assert rt.pipeline.stats.stages["codegen"].runs == 1
 
 
 # -- runtime-level parity -----------------------------------------------------
 
 
-def _run_ds_ops(engine: str, struct: str):
+def _run_ds_ops(engine: str, struct: str, compiled: bool = False):
     from repro.core.runtime import KFlexRuntime
     from repro.apps.datastructures import ALL_STRUCTURES
 
     rt = KFlexRuntime(engine=engine)
+    if compiled:
+        force_tier_up(rt)
     ds = ALL_STRUCTURES[struct](rt)
     rng = random.Random(42)
     trace = []
@@ -562,12 +778,18 @@ def _run_ds_ops(engine: str, struct: str):
             ret = ds.delete(k)
         cost = ds.exts[op].stats.last_cost_units
         trace.append((op, k, ret, cost))
+    if compiled:
+        # The pointer-kind pass binds every site of the shipped
+        # structures: none takes the generic path once warm.
+        assert rt.pipeline.stats.tier.fallback_sites == 0
     return trace
 
 
 @pytest.mark.parametrize("struct", ["hashmap", "linkedlist"])
 def test_runtime_datastructure_parity(struct):
-    assert _run_ds_ops("interp", struct) == _run_ds_ops("threaded", struct)
+    ti = _run_ds_ops("interp", struct)
+    assert ti == _run_ds_ops("threaded", struct)
+    assert ti == _run_ds_ops("threaded", struct, compiled=True)
 
 
 def _watchdog_cancel_stats(engine: str):
@@ -650,10 +872,13 @@ def test_runtime_pools_engine_across_invocations():
     assert ext._engines == {}
 
 
-def _quarantine_readmit_trace(engine: str):
+def _quarantine_readmit_trace(engine: str, compiled: bool = False):
     """Stall -> quarantine -> backoff -> re-admission, capturing every
     ExecResult.  The revived extension recompiles through the program
-    cache; the cached lowering must execute bit-identically."""
+    cache; the cached lowering must execute bit-identically.  With
+    ``compiled``, engines start compiled and the cached lowering is
+    dropped while quarantined, so re-admission binds a fresh engine to
+    the cached compiled code."""
     from repro.core.runtime import KFlexRuntime
     from repro.core.supervisor import QuarantinePolicy
     from repro.ebpf.macroasm import MacroAsm
@@ -672,6 +897,8 @@ def _quarantine_readmit_trace(engine: str):
     m.mov(R.R0, 9)
     m.exit()
     prog = Program("readmit", m.assemble(), hook="bench", heap_size=1 << 16)
+    if compiled:
+        force_tier_up(rt)
     ext = rt.load(prog, heap=heap, attach=False, quantum_units=10_000)
     assert heap.reserve_static(64) == 0x40  # the cell the loop reads
     ctx = rt.make_ctx(0, [0] * 8)
@@ -680,10 +907,20 @@ def _quarantine_readmit_trace(engine: str):
     rt.kernel.aspace.write_int(heap.base + 0x40, 1, 8)  # non-zero: stall
     trace.append((ext.invoke(ctx), describe_result(ext.last_result)))
     assert ext.dead  # watchdog stall quarantined it
+    if compiled:
+        rt.pipeline.translate = type(rt.pipeline).translate.__get__(
+            rt.pipeline
+        )  # the replacement engine must find the code on its own
+        for stage in ("instrument", "lower"):
+            rt.pipeline.cache.invalidate(stage=stage)
     rt.kernel.advance_ns(2_000)  # backoff elapses
     rt.kernel.aspace.write_int(heap.base + 0x40, 0, 8)  # heal: loop exits
     trace.append((ext.invoke(ctx), describe_result(ext.last_result)))
     assert not ext.dead
+    if compiled:
+        assert ext._engines[0].engine.compiled_runs == 1
+        st = rt.pipeline.stats.stages["codegen"]
+        assert (st.runs, st.cached) == (2, 1)  # one codegen, one bind
     return (
         trace,
         rt.pipeline.stats.warm_loads,
@@ -705,16 +942,28 @@ def test_quarantine_readmission_parity_across_engines():
     assert reasons == {"watchdog": 1}
 
 
+@pytest.mark.compiled
+def test_quarantine_readmission_binds_cached_code():
+    """Re-admission after quarantine builds a fresh engine (the cached
+    lowering was dropped), which binds the cached compiled code on its
+    first run and replays the interpreter's trace."""
+    ti = _quarantine_readmit_trace("interp")
+    tc = _quarantine_readmit_trace("threaded", compiled=True)
+    assert ti[0] == tc[0]
+
+
 # -- injected-fault parity ----------------------------------------------------
 
 
-def _run_injected_ds(engine: str, fuse=None):
+def _run_injected_ds(engine: str, compiled: bool = False):
     """Drive a hashmap under a fault plan; capture every observable."""
     from repro.core.runtime import KFlexRuntime
     from repro.apps.datastructures import ALL_STRUCTURES
     from repro.sim.faults import FaultPlan
 
-    rt = KFlexRuntime(engine=engine, fuse=fuse)
+    rt = KFlexRuntime(engine=engine)
+    if compiled:
+        force_tier_up(rt)
     rt.watchdog_period = 64
     ds = ALL_STRUCTURES["hashmap"](rt)
     inj = rt.install_injector(FaultPlan(11, {

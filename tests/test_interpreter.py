@@ -174,17 +174,28 @@ def test_unmapped_load_faults():
 
 
 def test_hard_step_limit_reports_stall():
-    def build(a):
-        a.label("spin")
-        a.jmp("spin")
+    """The default limit is ``env.max_steps`` (``DEFAULT_MAX_STEPS``
+    unless set), honoured by both engines when ``run()`` gets no
+    ``max_steps``; spinning to the real 50M default would only retest
+    the same comparison for a minute."""
+    from repro.ebpf.engine import ThreadedEngine
+    from repro.ebpf.interpreter import DEFAULT_MAX_STEPS
 
-    res = run(build)
-    # run with a small limit
     a = Assembler()
-    build(a)
-    env = ExecEnv(aspace=AddressSpace(), helpers=HelperTable())
-    res = Interpreter(a.assemble(), env).run(max_steps=100)
-    assert not res.ok and res.fault.kind == "stall"
+    a.label("spin")
+    a.jmp("spin")
+    insns = a.assemble()
+    assert ExecEnv(aspace=AddressSpace(), helpers=HelperTable()).max_steps \
+        == DEFAULT_MAX_STEPS
+    for cls in (Interpreter, ThreadedEngine):
+        env = ExecEnv(aspace=AddressSpace(), helpers=HelperTable(),
+                      max_steps=1234)
+        res = cls(insns, env).run()
+        assert not res.ok and res.fault.kind == "stall"
+        assert res.steps == 1234
+        res = cls(insns, env).run(max_steps=100)
+        assert not res.ok and res.fault.kind == "stall"
+        assert res.steps == 100
 
 
 def test_store_outside_allowed_regions_panics():

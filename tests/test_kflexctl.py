@@ -79,6 +79,27 @@ def test_stats_reports_pipeline(capsys):
     assert "pool reuses" in out
 
 
+def test_stats_reports_compiled_tier(capsys, kasm):
+    """A hot program tiers up once; the next load's engine binds the
+    cached code.  The codegen stage and the tier counters (tier-ups,
+    checkpoint deopts, generic-path sites) all show in ``kflexctl
+    stats``."""
+    path = kasm("""
+        mov64 r6, 0
+    l:  add64 r6, 1
+        jlt r6, 3000, l
+        mov64 r0, r6
+        exit
+    """)
+    assert main(["stats", path, "--loads", "2", "--invoke", "2"]) == 0
+    out = capsys.readouterr().out
+    codegen = next(ln for ln in out.splitlines() if ln.strip().startswith("codegen"))
+    assert codegen.split()[1:3] == ["2", "1"]  # generated once, bound twice
+    tier = next(ln for ln in out.splitlines() if ln.startswith("compiled tier:"))
+    assert tier == ("compiled tier: 2 tier-ups, 0 checkpoint deopts, "
+                    "0 generic-path sites")
+
+
 def test_stats_heapless_program(capsys, kasm):
     """A program with no heap references still loads through the
     pipeline (mode kflex allocates it a heap; the path must not trip

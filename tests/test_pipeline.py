@@ -23,16 +23,12 @@ from repro.ebpf.isa import Reg
 from repro.ebpf.macroasm import MacroAsm
 from repro.ebpf.pipeline import (
     CompilationPipeline,
-    FuseConfig,
-    FusePass,
-    FusedProgram,
     LoweredProgram,
     Pass,
     PassManager,
     ProgramCache,
     RawProgram,
     config_key,
-    fuse_config_key,
     program_digest,
 )
 from repro.ebpf.program import Program
@@ -233,14 +229,14 @@ def test_artifacts_are_frozen():
     m.exit()
     heapless = Program("flat", m.assemble(), hook="bench")
     pipe = CompilationPipeline()
-    fused = pipe.compile(heapless, config=VerifierConfig(), heap=None)
-    assert isinstance(fused, FusedProgram)
-    assert isinstance(fused.lowered, LoweredProgram)
+    lowered = pipe.compile(heapless, config=VerifierConfig(), heap=None)
+    assert isinstance(lowered, LoweredProgram)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        fused.plan = ()
+        lowered.jprog = None
+    code = pipe.codegen(lowered, smap=True)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        fused.lowered.jprog = None
-    assert fused.raw.verify_key() != fused.raw.placement_key()
+        code.heads = frozenset()
+    assert lowered.raw.verify_key() != lowered.raw.placement_key()
 
 
 # -- the cache itself ---------------------------------------------------------
@@ -306,12 +302,12 @@ class NullPass(Pass):
 
 def test_pass_manager_registration_order():
     pm = PassManager()
-    assert pm.names == ["verify", "instrument", "lower", "fuse"]
+    assert pm.names == ["verify", "instrument", "lower"]
     pm.register(NullPass("coalesce"), before="lower")
     pm.register(NullPass("audit"), after="verify")
     pm.register(NullPass("tail"))
     assert pm.names == ["verify", "audit", "instrument", "coalesce",
-                        "lower", "fuse", "tail"]
+                        "lower", "tail"]
 
 
 def test_pass_manager_rejects_bad_registrations():
@@ -331,10 +327,10 @@ def test_pass_manager_replace_and_remove():
     probe = NullPass("lower")  # stands in for the real stage
     old = pm.replace("lower", probe)
     assert old.name == "lower"
-    assert pm.names == ["verify", "instrument", "lower", "fuse"]
+    assert pm.names == ["verify", "instrument", "lower"]
     assert pm.remove("lower") is probe
-    assert pm.remove("fuse").name == "fuse"
-    assert pm.names == ["verify", "instrument"]
+    assert pm.remove("instrument").name == "instrument"
+    assert pm.names == ["verify"]
 
 
 def test_registered_pass_runs_in_the_load_path():
@@ -371,86 +367,86 @@ def test_readmission_recompiles_warm():
     assert ext.jprog is jprog  # same cached lowering => pooled engines live
 
 
-# -- superinstruction fusion keys ---------------------------------------------
+# -- the codegen stage ---------------------------------------------------------
 
 
-def test_fuse_config_key_covers_every_field():
-    base = FuseConfig()
-    assert fuse_config_key(None) == ("nofuse",)
-    assert fuse_config_key(base) == fuse_config_key(FuseConfig())
-    for f in dataclasses.fields(FuseConfig):
-        v = getattr(base, f.name)
-        bumped = dataclasses.replace(
-            base, **{f.name: not v if isinstance(v, bool) else v + 1}
-        )
-        assert fuse_config_key(bumped) != fuse_config_key(base), \
-            f"field {f.name} missing from the fuse cache key"
+def _hot_engine(ext, cpu=0):
+    """Bind ``ext`` on ``cpu`` and force its engine into the compiled
+    tier (through the pipeline's codegen stage)."""
+    ext.batch_invoker(cpu)
+    eng = ext._engines[cpu].engine
+    eng.tier_up()
+    return eng
 
 
-def test_fused_and_unfused_artifacts_never_collide():
-    """Flipping the fusion config must miss the fuse stage of the
-    ProgramCache while the placement-keyed stages still hit: fused and
-    unfused artifacts occupy distinct keys in the same cache."""
+def test_codegen_never_shares_code_across_smap_or_placement():
+    """Compiled code is keyed by the lowered artifact's placement key
+    plus the SMAP flag: other CPUs of the same load share one code
+    object, while a flipped SMAP flag or another heap placement gets
+    its own."""
     rt = KFlexRuntime()
-    heap = rt.create_heap(HEAP, name="fuse")
     prog = make_program()
-    on = rt.load(prog, heap=heap, attach=False)
-    assert isinstance(on.lowered, FusedProgram)
-    assert len(on.lowered.plan) > 0  # the program has fusible runs
+    heap = rt.create_heap(HEAP, name="cg")
+    ext = rt.load(prog, heap=heap, attach=False)
+    e0 = _hot_engine(ext, 0)
+    e1 = _hot_engine(ext, 1)
+    assert e0._compiled is e1._compiled
+    st = rt.pipeline.cache.stats.by_stage["codegen"]
+    assert st == {"hits": 1, "misses": 1}
 
-    rt.pipeline.passes.replace("fuse", FusePass(FuseConfig(enabled=False)))
-    off = rt.load(prog, heap=heap, attach=False)
-    assert off.lowered.plan == ()
-    # Upstream stages were warm; only the fuse stage recomputed.
-    st = rt.pipeline.cache.stats.by_stage
-    assert st["verify"]["hits"] == 1
-    assert st["lower"]["hits"] == 1
-    assert st["fuse"] == {"hits": 0, "misses": 2}
-    assert rt.pipeline.stats.warm_loads == 0  # the fuse miss is visible
+    # SMAP off on one CPU: the engine re-tiers on its next run, under a
+    # different key.
+    ctx = rt.make_ctx(0, [0] * 8)
+    ext._env(1).smap = False
+    assert ext.invoke(ctx, cpu=1) == 7
+    assert e1._compiled is not e0._compiled
+    assert st == {"hits": 1, "misses": 2}
 
-    # Back to the original config: every stage hits, including fuse.
-    rt.pipeline.passes.replace("fuse", FusePass(FuseConfig()))
-    again = rt.load(prog, heap=heap, attach=False)
-    assert again.lowered.plan == on.lowered.plan
-    assert st["fuse"]["hits"] == 1
-    assert rt.pipeline.stats.warm_loads == 1
+    # Same program, another heap placement: a third code object.
+    other = rt.load(prog, heap=rt.create_heap(HEAP, name="cg2"), attach=False)
+    e2 = _hot_engine(other, 0)
+    assert e2._compiled is not e0._compiled
+    assert e2._compiled is not e1._compiled
+    assert st == {"hits": 1, "misses": 3}
+    assert other.invoke(ctx) == 7
 
 
-def test_fuse_entries_respect_lru_bound():
-    """Fuse-stage payloads live in the same bounded LRU: flipping
-    configs on a tiny cache evicts rather than grows."""
+def test_codegen_entries_respect_lru_bound():
+    """Codegen payloads live in the same bounded LRU: compiling the
+    program at many placements on a tiny cache evicts rather than
+    grows."""
     rt = KFlexRuntime()
     rt.pipeline.cache = ProgramCache(capacity=4)
-    heap = rt.create_heap(HEAP, name="lru")
     prog = make_program()
     ctx = rt.make_ctx(0, [0] * 8)
-    for max_len in (2, 3, 4, 5, 6, 7):
-        rt.pipeline.passes.replace(
-            "fuse", FusePass(FuseConfig(max_len=max_len))
-        )
+    for i in range(6):
+        heap = rt.create_heap(HEAP, name=f"lru{i}")
         ext = rt.load(prog, heap=heap, attach=False)
+        _hot_engine(ext)
         assert ext.invoke(ctx) == 7
     assert len(rt.pipeline.cache) <= 4
     assert rt.pipeline.cache.stats.evictions > 0
+    assert rt.pipeline.cache.stats.by_stage["codegen"]["misses"] == 6
 
 
-def test_runtime_fuse_flag_disables_the_pass():
-    rt = KFlexRuntime(fuse=False)
-    heap = rt.create_heap(HEAP, name="nofuse")
-    ext = rt.load(make_program(), heap=heap, attach=False)
-    assert ext.lowered.plan == ()
-    assert ext.invoke(rt.make_ctx(0, [0] * 8)) == 7
-    engine = ext._engines[0].engine
-    assert engine.fused_blocks == 0
-
-
-def test_fused_engine_reports_blocks():
+def test_stats_report_codegen_stage():
+    """Loading never runs codegen; tiering up does, once, and the stats
+    (and ``format_stats``) show the stage and the tier counters."""
     rt = KFlexRuntime()
-    heap = rt.create_heap(HEAP, name="fused")
+    heap = rt.create_heap(HEAP, name="cgstats")
     ext = rt.load(make_program(), heap=heap, attach=False)
-    assert ext.invoke(rt.make_ctx(0, [0] * 8)) == 7
-    engine = ext._engines[0].engine
-    assert engine.fused_blocks == len(ext.lowered.plan) > 0
+    ctx = rt.make_ctx(0, [0] * 8)
+    assert ext.invoke(ctx) == 7
+    assert "codegen" not in rt.pipeline.stats.stages
+    _hot_engine(ext)
+    assert ext.invoke(ctx) == 7
+    d = rt.pipeline.stats_dict()
+    assert d["stages"]["codegen"]["runs"] == 1
+    assert d["stages"]["codegen"]["cached"] == 0
+    assert d["tier"] == {"tier_ups": 1, "deopts": 0, "fallback_sites": 0}
+    text = rt.pipeline.format_stats()
+    assert "codegen" in text
+    assert "compiled tier: 1 tier-ups, 0 checkpoint deopts" in text
 
 
 def test_stats_dict_shape():
@@ -463,10 +459,10 @@ def test_stats_dict_shape():
     assert d["translations"] == 1
     assert set(d["stages"]) == {
         "verify", "verify:queue", "verify:explore", "verify:merge",
-        "instrument", "lower", "fuse", "translate",
+        "instrument", "lower", "translate",
     }
     assert d["stages"]["verify"]["runs"] == 1
-    assert d["stages"]["fuse"]["runs"] == 1
-    assert d["cache"]["entries"] == 4  # one payload per cacheable stage
+    assert d["stages"]["translate"]["runs"] == 1
+    assert d["cache"]["entries"] == 3  # one payload per cacheable stage
     text = rt.pipeline.format_stats()
     assert "1 loads (0 warm)" in text and "verify" in text

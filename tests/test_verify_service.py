@@ -9,7 +9,7 @@ single-threaded ``Verifier.verify()`` produces.  Everything else
 stats) is scaffolding around that invariant.
 
 Marked ``verify_svc`` so the suite is selectable (`make test-verify`),
-but like ``fuse`` it stays IN tier-1.
+but like ``compiled`` it stays IN tier-1.
 """
 
 import pytest
