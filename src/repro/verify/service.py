@@ -298,6 +298,11 @@ class VerificationService:
             if jid not in pending:
                 continue  # stale message from a superseded attempt
             if kind == "start":
+                if msg[3] != self._procs[wid].pid:
+                    # Sent by a dead incarnation of ``wid`` that was
+                    # reaped before this message was read: the job is
+                    # unstarted, and the stall requeue picks it up.
+                    continue
                 started[jid] = (wid, now)
                 regions_seen[jid] = 0
             elif kind == "region":

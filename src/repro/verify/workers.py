@@ -7,7 +7,7 @@ reduced to :class:`MapSpec` geometry stubs — the verifier only ever
 reads ``fd`` / ``key_size`` / ``value_size``), runs the region-sliced
 verifier, and streams progress back on the results queue:
 
-* ``("start", wid, jid)`` — job picked up,
+* ``("start", wid, jid, pid)`` — job picked up by process ``pid``,
 * ``("region", wid, jid, ordinal, reused)`` — one region finished,
 * ``("done", wid, jid, analysis, info)`` — full analysis attached,
 * ``("fail", wid, jid, message)`` — the program was *rejected* (a
@@ -207,5 +207,5 @@ def worker_main(wid: int, task_q, result_q, memo_capacity: int) -> None:
         spec = task_q.get()
         if spec is None:
             break
-        result_q.put(("start", wid, spec.jid))
+        result_q.put(("start", wid, spec.jid, os.getpid()))
         run_job(spec, memo, emit, quiesce)
