@@ -87,37 +87,62 @@ bench-verify:
 bench-baseline:
 	$(PY) benchmarks/bench_engine_speed.py --update
 
-# Robustness gate: seeded chaos campaigns over every supervised app,
-# both engines; fails on oracle errors, leaks, or engine divergence.
-chaos-quick:
-	sh scripts/chaos_quick.sh
+# The chaos-* gates run declared campaigns (repro.sim.campaign): each
+# pins its seeds, sizes, coverage floor and required crash sites, and
+# exits 1 on any oracle error or failed gate check.
 
-# Durability gate: seeded crash-point fuzz over the WAL/snapshot store
-# (file-backed); fails on corruption, non-prefix recovery, durability-
-# barrier rollback, or < 200 injected crashes.
+# Quick robustness gate: seeded chaos campaigns over the supervised
+# applications, run under BOTH execution engines.  Fails on any oracle
+# error, quiescence violation (leak after an injected cancellation), or
+# engine digest divergence.
+chaos-quick:
+	$(PY) -m repro.sim.campaign apps
+
+# Crash-recovery gate: seeded crash-point fuzz over the durable-state
+# subsystem, file-backed (real fsync/rename through DirStorage in a
+# temporary directory).  Six runs x 1500 mutations inject well over 200
+# process deaths across all crash sites (WAL append/flush, snapshot
+# write/commit/compact, mid-recovery); fails on any corruption, any
+# non-prefix recovery, any rollback past an acknowledged durability
+# barrier, or fewer than 200 injected crashes — the floor makes
+# coverage an explicit gate, not a hope.
 chaos-recovery:
-	sh scripts/chaos_recovery.sh
+	$(PY) -m repro.sim.campaign recovery
 
 # Replication gate: seeded crash-point fuzz over the WAL-shipping
-# pipeline — primary, follower, promotion, and anti-entropy deaths —
-# checked by a linearizability-of-acked-writes oracle; fails on any
-# acked-write loss, fencing violation, divergence, or < 200 deaths.
+# pipeline.  Five runs x 1200 mutations at sync_replicas=1 plus one k=2
+# leg inject well over 200 deaths across primary kills, follower kills
+# mid-append/mid-flush, deaths during promotion recovery, and deaths
+# inside anti-entropy snapshot installs.  Fails on any acked-write loss
+# across promotion (linearizability oracle), any accepted stale-epoch
+# frame, any divergence between a recovered node and the acked-prefix
+# shadow, fewer than 200 injected deaths, or any replication crash
+# site left unexercised.
 chaos-replication:
-	sh scripts/chaos_replication.sh
+	$(PY) -m repro.sim.campaign replication
 
 # Fleet control-plane gate: seeded crash-point fuzz over live segment
-# migration and canary rollouts — source/target deaths at every
-# migration stage, canary deaths at every rollout stage — checked by
-# an acked-writes-preserved oracle plus rollout-safety oracles; fails
-# on any loss, any bad promotion/rollback, or < 200 deaths.
+# migration and canary rollouts.  Eight runs x 150 event-loop steps
+# inject well over 200 shard deaths across every fleet crash site: the
+# migration source dying while cutting the segment image, the target
+# dying mid-install / mid-tail / inside the paused cutover, and the
+# canary dying at load, mid-window, mid-promote and mid-rollback.
+# Every death is followed by real crash recovery from the victim's
+# durable state.  Fails on any acked-write loss across a migration or
+# rollout, any phantom hit, any flaky artifact promoted fleet-wide, any
+# clean artifact rolled back, fewer than 200 injected deaths, or any
+# fleet crash site left unexercised.
 chaos-fleet:
-	sh scripts/chaos_fleet.sh
+	$(PY) -m repro.sim.campaign fleet
 
-# Hostile-traffic gate: the full scenario matrix across >= 200 seeded
-# runs; fails on any oracle violation (acked-write loss, ungraceful
-# shed, unbounded recovery, p99 blow-out) or a short campaign.
+# Hostile-traffic gate: the full adversarial scenario matrix (floods,
+# slow-loris, flash crowds, mid-run migration, burst/drain, L4LB
+# backend failover) across 30 seeds each.  Every run re-checks the
+# oracles — acked writes never lost, graceful shed, bounded recovery,
+# p99 envelope — and the gate fails on any failure or if fewer than
+# 200 seeded runs executed.
 chaos-scenarios:
-	sh scripts/chaos_scenarios.sh
+	$(PY) -m repro.sim.campaign scenarios
 
 # Hostile-traffic perf gate: per-scenario p99 and shed-rate envelopes
 # vs the committed baseline in benchmarks/results/BENCH_scenarios.json.

@@ -20,25 +20,30 @@ checks the paper's end-to-end robustness claims (§3.3, §3.4, §4.3):
   the other engine — injection points are engine-order identical)
   must reproduce the digest bit for bit.
 
-Run from the command line (see ``make chaos-quick``)::
+Every campaign returns a :class:`~repro.sim.campaign.CampaignReport`;
+the gates that run them are declared in :mod:`repro.sim.campaign`
+(see ``make chaos-quick``)::
 
-    python -m repro.sim.chaos --apps memcached redis --ops 200 --seed 7
+    python -m repro.sim.campaign apps
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-from dataclasses import dataclass, field
+import random
 
 from repro.core.audit import audit_enabled, enable_quiescence_audit
 from repro.core.runtime import KFlexRuntime
 from repro.core.supervisor import QuarantinePolicy
+from repro.errors import SimulatedCrash
 from repro.kernel.watchdog import DEFAULT_QUANTUM_UNITS
+from repro.sim.campaign import CampaignReport
 from repro.sim.faults import FaultPlan
 
 #: Per-opportunity trigger rates tuned so a few-hundred-op campaign
 #: sees every kind fire multiple times without drowning the service.
-DEFAULT_RATES = {
+FAULT_RATES = {
     "heap_page": 0.004,
     "sfi_guard": 0.004,
     "helper_fail": 0.01,
@@ -46,10 +51,6 @@ DEFAULT_RATES = {
     "wd_fire": 0.02,
     "lock_stall": 0.01,
 }
-
-#: Campaign apps, in CLI order.
-APPS = ("memcached", "redis", "datastructures")
-
 
 def chaos_policy() -> QuarantinePolicy:
     """Quarantine knobs for chaos runs: trip fast, heal fast.
@@ -67,52 +68,26 @@ def chaos_policy() -> QuarantinePolicy:
     )
 
 
-@dataclass
-class ChaosReport:
-    """Observable outcome of one campaign (the determinism surface)."""
-
-    app: str
-    engine: str
-    seed: int
-    n_ops: int
-    #: SHA-256 over every (op, result) pair and the injector fire log.
-    digest: str = ""
-    kinds_fired: tuple = ()
-    total_fires: int = 0
-    quarantines: int = 0
-    readmissions: int = 0
-    cancellations: int = 0
-    kernel_ops: int = 0
-    fallback_ops: int = 0
-    #: Overlay entries never replayed (extension still quarantined at
-    #: the end of the run) — informational, not an error.
-    pending: int = 0
-    #: Oracle mismatches: (op index, description).  Must be empty.
-    errors: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.errors)} ERRORS"
-        kinds = ",".join(self.kinds_fired) or "-"
-        return (
-            f"chaos[{self.app}/{self.engine}] seed={self.seed} "
-            f"ops={self.n_ops} fires={self.total_fires} ({kinds}) "
-            f"quar={self.quarantines} readmit={self.readmissions} "
-            f"cancel={self.cancellations} kernel={self.kernel_ops} "
-            f"fallback={self.fallback_ops} pending={self.pending} "
-            f"digest={self.digest[:16]} {status}"
-        )
-
-
 def _mix(hasher, *parts) -> None:
     hasher.update("|".join(str(p) for p in parts).encode())
     hasher.update(b"\n")
 
 
-def _finish(report: ChaosReport, rt, hasher, inj, stats=None) -> ChaosReport:
+def _app_report(app: str, engine: str, seed: int, n_ops: int):
+    """An app campaign's report: counters in print order.  ``pending``
+    counts overlay entries never replayed (extension still quarantined
+    at the end of the run) — informational, not an error.  The digest
+    covers every (op, result) pair and the injector fire log."""
+    counts = dict.fromkeys(
+        ("total_fires", "quarantines", "readmissions", "cancellations",
+         "kernel_ops", "fallback_ops", "pending"), 0,
+    )
+    return CampaignReport(
+        app, seed, n_ops, variant=engine, counts=counts, info=("pending",)
+    )
+
+
+def _finish(report, rt, hasher, inj, stats=None) -> CampaignReport:
     """Common tail: runtime-wide sweep, stats, digest."""
     # Final quiescence sweep across every allocator/lock manager and
     # the global socket table — raises QuiescenceViolation on leaks.
@@ -122,19 +97,14 @@ def _finish(report: ChaosReport, rt, hasher, inj, stats=None) -> ChaosReport:
     for kind, ordinal in inj.log:
         _mix(hasher, "log", kind, ordinal)
     report.digest = hasher.hexdigest()
-    report.kinds_fired = tuple(sorted(inj.kinds_fired()))
-    report.total_fires = inj.total_fires()
-    report.quarantines = rt.supervisor.stats.quarantines
-    report.readmissions = rt.supervisor.stats.readmissions
+    report.sites = tuple(sorted(inj.kinds_fired()))
+    c = report.counts
+    c["total_fires"] = inj.total_fires()
+    c["quarantines"] = rt.supervisor.stats.quarantines
+    c["readmissions"] = rt.supervisor.stats.readmissions
     if stats is not None:
-        report.kernel_ops = stats[0]
-        report.fallback_ops = stats[1]
+        c["kernel_ops"], c["fallback_ops"] = stats
     return report
-
-
-def _record_error(report: ChaosReport, i: int, msg: str, cap: int = 20) -> None:
-    if len(report.errors) < cap:
-        report.errors.append((i, msg))
 
 
 def _colliding_ids(bucket_of, encode, n_keys: int, per_bucket: int) -> list[int]:
@@ -168,24 +138,49 @@ def _colliding_ids(bucket_of, encode, n_keys: int, per_bucket: int) -> list[int]
 REQUEST_GAP_NS = 2_000
 
 
-class _audit_forced:
-    """Force quiescence auditing on for the campaign, then restore."""
+@contextlib.contextmanager
+def _chaos_runtime(engine: str, seed: int):
+    """``(runtime, injector)`` with the seeded fault plan installed;
+    quiescence auditing is forced on for the campaign, then restored."""
+    prev = audit_enabled()
+    enable_quiescence_audit(True)
+    try:
+        rt = KFlexRuntime(engine=engine, supervisor_policy=chaos_policy())
+        # Short watchdog period so injected premature fires actually get a
+        # chance to trigger on ~100-step requests (the production period of
+        # 4096 steps would make wd_fire unreachable for small extensions).
+        rt.watchdog_period = 64
+        yield rt, rt.install_injector(FaultPlan(seed, FAULT_RATES))
+    finally:
+        enable_quiescence_audit(prev)
 
-    def __enter__(self):
-        self._prev = audit_enabled()
-        enable_quiescence_audit(True)
 
-    def __exit__(self, *exc):
-        enable_quiescence_audit(self._prev)
+def _kv_request(report, hasher, i: int, app, shadow: dict, key, value=None):
+    """One SET (``value`` given) or GET through a supervised key-value
+    app, oracle-checked against the acknowledged writes in ``shadow``."""
+    if value is not None:
+        ok = app.set(key, value)
+        if not ok:
+            report.error(i, f"SET {key} refused")
+        else:
+            shadow[key] = value
+        _mix(hasher, i, "set", key, value, ok)
+        return
+    got = app.get(key)
+    want = (True, shadow[key]) if key in shadow else (False, None)
+    if got != want:
+        report.error(i, f"GET {key}: got {got}, want {want}")
+    _mix(hasher, i, "get", key, got)
 
 
-def _make_runtime(engine: str, policy: QuarantinePolicy | None):
-    rt = KFlexRuntime(engine=engine, supervisor_policy=policy or chaos_policy())
-    # Short watchdog period so injected premature fires actually get a
-    # chance to trigger on ~100-step requests (the production period of
-    # 4096 steps would make wd_fire unreachable for small extensions).
-    rt.watchdog_period = 64
-    return rt
+def _kv_final(report, hasher, n_ops: int, app, shadow: dict) -> None:
+    """End-to-end check: every key answers correctly, kernel path or
+    fallback alike."""
+    for key, want in sorted(shadow.items()):
+        got = app.get(key)
+        if got != (True, want):
+            report.error(n_ops, f"final GET {key}: {got}")
+        _mix(hasher, "final", key, got)
 
 
 # ---------------------------------------------------------------------------
@@ -193,28 +188,24 @@ def _make_runtime(engine: str, policy: QuarantinePolicy | None):
 # ---------------------------------------------------------------------------
 
 
-def run_memcached_campaign(
-    seed: int = 0,
-    n_ops: int = 600,
-    engine: str = "threaded",
-    *,
-    rates: dict | None = None,
-    policy: QuarantinePolicy | None = None,
-    key_space: int = 64,
-) -> ChaosReport:
-    """GET/SET storm through :class:`SupervisedMemcached` + oracle."""
-    import random
+#: Distinct memcached keys (colliding in chains of 8).
+MEMCACHED_KEYS = 64
 
+
+def run_memcached_campaign(
+    seed: int = 0, n_ops: int = 600, engine: str = "threaded"
+) -> CampaignReport:
+    """GET/SET storm through :class:`SupervisedMemcached` + oracle."""
     from repro.apps.memcached import protocol as P
     from repro.apps.memcached.supervised import SupervisedMemcached, _bucket_of
 
-    report = ChaosReport("memcached", engine, seed, n_ops)
+    report = _app_report("memcached", engine, seed, n_ops)
     hasher = hashlib.sha256()
     rng = random.Random(f"chaos:{seed}:memcached")
-    keys = _colliding_ids(_bucket_of, P.key_bytes, key_space, per_bucket=8)
-    with _audit_forced():
-        rt = _make_runtime(engine, policy)
-        inj = rt.install_injector(FaultPlan(seed, rates or DEFAULT_RATES))
+    keys = _colliding_ids(
+        _bucket_of, P.key_bytes, MEMCACHED_KEYS, per_bucket=8
+    )
+    with _chaos_runtime(engine, seed) as (rt, inj):
         sm = SupervisedMemcached(
             rt,
             use_locks=True,
@@ -225,33 +216,11 @@ def run_memcached_campaign(
         for i in range(n_ops):
             rt.kernel.advance_ns(REQUEST_GAP_NS)
             key = keys[rng.randrange(len(keys))]
-            if rng.random() < 0.5:
-                value = rng.getrandbits(63)
-                ok = sm.set(key, value)
-                if not ok:
-                    _record_error(report, i, f"SET {key} refused")
-                else:
-                    shadow[key] = value
-                _mix(hasher, i, "set", key, value, ok)
-            else:
-                got = sm.get(key)
-                want = (
-                    (True, shadow[key]) if key in shadow else (False, None)
-                )
-                if got != want:
-                    _record_error(
-                        report, i, f"GET {key}: got {got}, want {want}"
-                    )
-                _mix(hasher, i, "get", key, got)
-        # End-to-end check: every key answers correctly, kernel path or
-        # fallback alike.
-        for key, want in sorted(shadow.items()):
-            got = sm.get(key)
-            if got != (True, want):
-                _record_error(report, n_ops, f"final GET {key}: {got}")
-            _mix(hasher, "final", key, got)
-        report.cancellations = sm.ext.stats.cancellations
-        report.pending = sm.pending
+            value = rng.getrandbits(63) if rng.random() < 0.5 else None
+            _kv_request(report, hasher, i, sm, shadow, key, value)
+        _kv_final(report, hasher, n_ops, sm, shadow)
+        report.counts["cancellations"] = sm.ext.stats.cancellations
+        report.counts["pending"] = sm.pending
         stats = (
             sm.stats.kernel_gets + sm.stats.kernel_sets,
             sm.stats.fallback_gets + sm.stats.fallback_sets,
@@ -264,36 +233,31 @@ def run_memcached_campaign(
 # ---------------------------------------------------------------------------
 
 
+#: Distinct redis string keys (colliding in chains of 8).
+REDIS_KEYS = 32
+#: Distinct zset keys, and members per zset.
+REDIS_ZSETS = 4
+REDIS_MEMBERS = 16
+
+
 def run_redis_campaign(
-    seed: int = 0,
-    n_ops: int = 600,
-    engine: str = "threaded",
-    *,
-    rates: dict | None = None,
-    policy: QuarantinePolicy | None = None,
-    key_space: int = 32,
-    zset_keys: int = 4,
-    member_space: int = 16,
-) -> ChaosReport:
+    seed: int = 0, n_ops: int = 600, engine: str = "threaded"
+) -> CampaignReport:
     """GET/SET/ZADD storm through :class:`SupervisedRedis` + oracle.
 
     String keys and zset keys live in disjoint id ranges.  Each
     (zset, member) pair always gets the same score, so repeated ZADDs
     are idempotent and the end-state check is a plain set comparison.
     """
-    import random
-
     from repro.apps.redis import protocol as P
     from repro.apps.redis.supervised import SupervisedRedis, _bucket_of
 
-    report = ChaosReport("redis", engine, seed, n_ops)
+    report = _app_report("redis", engine, seed, n_ops)
     hasher = hashlib.sha256()
     rng = random.Random(f"chaos:{seed}:redis")
-    keys = _colliding_ids(_bucket_of, P.key_bytes, key_space, per_bucket=8)
+    keys = _colliding_ids(_bucket_of, P.key_bytes, REDIS_KEYS, per_bucket=8)
     zbase = 1 << 20  # zset key ids, disjoint from string keys
-    with _audit_forced():
-        rt = _make_runtime(engine, policy)
-        inj = rt.install_injector(FaultPlan(seed, rates or DEFAULT_RATES))
+    with _chaos_runtime(engine, seed) as (rt, inj):
         sr = SupervisedRedis(
             rt, heap_size=1 << 22, quantum_units=DEFAULT_QUANTUM_UNITS
         )
@@ -302,50 +266,30 @@ def run_redis_campaign(
         for i in range(n_ops):
             rt.kernel.advance_ns(REQUEST_GAP_NS)
             roll = rng.random()
-            if roll < 0.35:
+            if roll < 0.70:
                 key = keys[rng.randrange(len(keys))]
-                value = rng.getrandbits(63)
-                ok = sr.set(key, value)
-                if not ok:
-                    _record_error(report, i, f"SET {key} refused")
-                else:
-                    strings[key] = value
-                _mix(hasher, i, "set", key, value, ok)
-            elif roll < 0.70:
-                key = keys[rng.randrange(len(keys))]
-                got = sr.get(key)
-                want = (
-                    (True, strings[key]) if key in strings else (False, None)
-                )
-                if got != want:
-                    _record_error(
-                        report, i, f"GET {key}: got {got}, want {want}"
-                    )
-                _mix(hasher, i, "get", key, got)
+                value = rng.getrandbits(63) if roll < 0.35 else None
+                _kv_request(report, hasher, i, sr, strings, key, value)
             else:
-                key = zbase + rng.randrange(zset_keys)
-                member = rng.randrange(member_space)
+                key = zbase + rng.randrange(REDIS_ZSETS)
+                member = rng.randrange(REDIS_MEMBERS)
                 score = member * 10  # fixed per member: idempotent
                 ok = sr.zadd(key, score, member)
                 if not ok:
-                    _record_error(report, i, f"ZADD {key} refused")
+                    report.error(i, f"ZADD {key} refused")
                 else:
                     zsets.setdefault(key, set()).add((score, member))
                 _mix(hasher, i, "zadd", key, score, member, ok)
-        for key, want in sorted(strings.items()):
-            got = sr.get(key)
-            if got != (True, want):
-                _record_error(report, n_ops, f"final GET {key}: {got}")
-            _mix(hasher, "final", key, got)
+        _kv_final(report, hasher, n_ops, sr, strings)
         for key, want in sorted(zsets.items()):
             got = sr.zset_members(key)
             if got != sorted(want):
-                _record_error(
-                    report, n_ops, f"final ZSET {key}: {got} != {sorted(want)}"
+                report.error(
+                    n_ops, f"final ZSET {key}: {got} != {sorted(want)}"
                 )
             _mix(hasher, "final-zset", key, tuple(got))
-        report.cancellations = sr.ext.stats.cancellations
-        report.pending = sr.pending
+        report.counts["cancellations"] = sr.ext.stats.cancellations
+        report.counts["pending"] = sr.pending
         stats = (sr.stats.kernel_ops, sr.stats.fallback_ops)
         return _finish(report, rt, hasher, inj, stats)
 
@@ -355,15 +299,13 @@ def run_redis_campaign(
 # ---------------------------------------------------------------------------
 
 
+#: Distinct data-structure keys.
+DATASTRUCTURE_KEYS = 48
+
+
 def run_datastructures_campaign(
-    seed: int = 0,
-    n_ops: int = 400,
-    engine: str = "threaded",
-    *,
-    rates: dict | None = None,
-    policy: QuarantinePolicy | None = None,
-    key_space: int = 48,
-) -> ChaosReport:
+    seed: int = 0, n_ops: int = 400, engine: str = "threaded"
+) -> CampaignReport:
     """Update/lookup/delete storm over hashmap + linkedlist.
 
     No userspace fallback wrapper exists for the raw data structures, so
@@ -371,22 +313,18 @@ def run_datastructures_campaign(
     after every cancellation, and a deterministic digest — a quarantined
     structure answering with its default return is acceptable.
     """
-    import random
-
     from repro.apps.datastructures.hashmap import HashMapDS
     from repro.apps.datastructures.linkedlist import LinkedListDS
 
-    report = ChaosReport("datastructures", engine, seed, n_ops)
+    report = _app_report("datastructures", engine, seed, n_ops)
     hasher = hashlib.sha256()
     rng = random.Random(f"chaos:{seed}:datastructures")
-    with _audit_forced():
-        rt = _make_runtime(engine, policy)
-        inj = rt.install_injector(FaultPlan(seed, rates or DEFAULT_RATES))
+    with _chaos_runtime(engine, seed) as (rt, inj):
         structures = [HashMapDS(rt), LinkedListDS(rt)]
         for i in range(n_ops):
             rt.kernel.advance_ns(REQUEST_GAP_NS)
             ds = structures[rng.randrange(len(structures))]
-            key = rng.randrange(key_space)
+            key = rng.randrange(DATASTRUCTURE_KEYS)
             roll = rng.random()
             if roll < 0.5:
                 ret = ds.update(key, rng.getrandbits(32))
@@ -398,7 +336,7 @@ def run_datastructures_campaign(
                 ret = ds.delete(key)
                 op = "delete"
             _mix(hasher, i, ds.NAME, op, key, ret)
-        report.cancellations = sum(
+        report.counts["cancellations"] = sum(
             ext.stats.cancellations
             for ds in structures
             for ext in ds.exts.values()
@@ -413,7 +351,7 @@ def run_datastructures_campaign(
 #: Per-opportunity crash rates for the recovery fuzz.  WAL sites see an
 #: opportunity per mutation, snapshot sites one per compaction, so the
 #: snapshot rates are higher to get comparable coverage.
-DEFAULT_CRASH_RATES = {
+CRASH_RATES = {
     "wal.append": 0.010,
     "wal.flush": 0.010,
     "snapshot.write": 0.120,
@@ -422,52 +360,143 @@ DEFAULT_CRASH_RATES = {
     "recovery.replay": 0.003,
 }
 
+#: The fuzzed map of the recovery and replication campaigns: its pin,
+#: key/value widths, key space and capacity.
+PIN = "chaos/map"
+KEY_SIZE, VALUE_SIZE = 8, 16
+CHURN_KEYS = 48
+CHURN_ENTRIES = 64
+#: Journal records between snapshots of the fuzzed store.
+SNAPSHOT_EVERY = 64
 
-@dataclass
-class RecoveryChaosReport:
-    """Outcome of one crash-recovery fuzz run."""
 
-    seed: int
-    n_ops: int
-    digest: str = ""
-    crashes: int = 0
-    sites_crashed: tuple = ()
-    recoveries: int = 0
-    torn_recoveries: int = 0
-    snapshot_fallbacks: int = 0
-    replayed_total: int = 0
-    ops_applied: int = 0
-    ops_lost: int = 0
-    #: Oracle violations: (op index, description).  Must be empty.
-    errors: list = field(default_factory=list)
+class _Shadow:
+    """Shadow oracle: the journaled ops in sequence order.  ``ops[i]``
+    carries seq i+1; values are the canonical post-write slot bytes."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
+    def __init__(self):
+        self.ops: list[tuple[str, bytes, bytes]] = []
 
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.errors)} ERRORS"
-        sites = ",".join(self.sites_crashed) or "-"
-        return (
-            f"chaos[recovery] seed={self.seed} ops={self.n_ops} "
-            f"crashes={self.crashes} ({sites}) recoveries={self.recoveries} "
-            f"torn={self.torn_recoveries} replayed={self.replayed_total} "
-            f"applied={self.ops_applied} lost={self.ops_lost} "
-            f"digest={self.digest[:16]} {status}"
+    def churn(self, rng, m) -> tuple[str, bytes, bytes, int]:
+        """One random update ("u") or delete ("d") against ``m``;
+        returns ``(op, key, value, rc)``.
+
+        The in-memory mutation and its WAL append both happen before
+        any crash site can fire, so an op joins the shadow when it
+        succeeds *or* when a :class:`SimulatedCrash` interrupts it —
+        which then propagates, and recovery rules on how much history
+        survived.
+        """
+        key = rng.randrange(CHURN_KEYS).to_bytes(KEY_SIZE, "little")
+        op = "d" if rng.random() < 0.25 else "u"
+        value = (
+            b"" if op == "d" else rng.getrandbits(8 * VALUE_SIZE).to_bytes(
+                VALUE_SIZE, "little"
+            )
         )
+        crashed = None
+        try:
+            rc = m.delete(key) if op == "d" else m.update(key, value)
+        except SimulatedCrash as e:
+            crashed, rc = e, 0
+        if rc == 0:
+            canonical = (
+                b"" if op == "d"
+                else m.aspace.read_bytes(m.lookup(key), VALUE_SIZE)
+            )
+            self.ops.append((op, key, canonical))
+        if crashed is not None:
+            raise crashed
+        return op, key, value, rc
+
+    def prefix(self, k: int) -> list[tuple[bytes, bytes]]:
+        """Map contents after the first ``k`` ops."""
+        d: dict[bytes, bytes] = {}
+        for op, key, value in self.ops[:k]:
+            if op == "u":
+                d[key] = value
+            else:
+                d.pop(key, None)
+        return sorted(d.items())
+
+    def rebase(self, report, i: int, m, seq: int) -> int:
+        """Check a map recovered at ``seq`` against the shadow — it must
+        equal *exactly* the first ``seq`` ops, never a corrupted or
+        reordered state — then drop the history that did not survive.
+        Returns the number of ops dropped."""
+        if seq > len(self.ops):
+            report.error(
+                i, f"recovered seq {seq} beyond {len(self.ops)} shadow ops"
+            )
+            seq = len(self.ops)
+        want = self.prefix(seq)
+        got = m.entries()
+        if got != want:
+            report.error(
+                i,
+                f"recovered state is not the seq-{seq} prefix: "
+                f"{len(got)} entries vs {len(want)} expected",
+            )
+        lost = len(self.ops) - seq
+        del self.ops[seq:]
+        return lost
+
+
+def _churn_store(storage, crash, shipper=None):
+    """The fuzzed map's store: every journaled op is its own durability
+    barrier (sync_every=1), compacted every SNAPSHOT_EVERY records."""
+    from repro.state import DurableStore
+
+    return DurableStore(
+        storage=storage,
+        sync_every=1,
+        snapshot_every=SNAPSHOT_EVERY,
+        crash=crash,
+        shipper=shipper,
+    )
+
+
+def _churn_map(kernel, name: str):
+    from repro.ebpf.maps import HashMap
+
+    return HashMap(
+        kernel.aspace,
+        kernel.vmalloc,
+        key_size=KEY_SIZE,
+        value_size=VALUE_SIZE,
+        max_entries=CHURN_ENTRIES,
+        name=name,
+    )
+
+
+def _recover_map(store, kernel, crash, report):
+    """``store.recover_map`` into ``kernel``, restarted after every
+    injected death mid-replay: a restarted recovery must succeed from
+    the same durable bytes."""
+    attempts = 0
+    while True:
+        try:
+            return store.recover_map(PIN, kernel.aspace, kernel.vmalloc)
+        except SimulatedCrash:
+            report.counts["recoveries"] += 1
+            attempts += 1
+            if attempts > 50:  # rates near 1.0 would livelock
+                crash.disarm("recovery.replay")
+
+
+def _crash_tail(report, hasher, crash, deaths_key: str) -> CampaignReport:
+    """Common tail of the crash campaigns: deaths, sites, digest."""
+    report.counts[deaths_key] = crash.total_crashes()
+    report.sites = tuple(sorted(crash.sites_crashed()))
+    for site, ordinal in crash.log:
+        _mix(hasher, "crashlog", site, ordinal)
+    report.digest = hasher.hexdigest()
+    return report
 
 
 def run_recovery_campaign(
-    seed: int = 0,
-    n_ops: int = 1500,
-    *,
-    storage=None,
-    crash_rates: dict | None = None,
-    sync_every: int = 1,
-    snapshot_every: int | None = 64,
-    key_space: int = 48,
-    max_entries: int = 64,
-) -> RecoveryChaosReport:
+    seed: int = 0, n_ops: int = 1500, *, storage=None
+) -> CampaignReport:
     """Seeded crash-recovery fuzz over a journaled hash map.
 
     Random update/delete churn runs against a pinned, WAL-journaled
@@ -480,174 +509,89 @@ def run_recovery_campaign(
     reordered state — and ``recovered_seq`` must be at least the last
     durability barrier (an acknowledged flush never rolls back).
     """
-    import random
-
-    from repro.ebpf.maps import HashMap
-    from repro.errors import SimulatedCrash
     from repro.kernel.machine import Kernel
     from repro.sim.faults import CrashPlan
     from repro.state import DurableStore, MemStorage
 
-    PIN = "chaos/map"
-    KEY_SIZE, VALUE_SIZE = 8, 16
-    report = RecoveryChaosReport(seed, n_ops)
+    report = CampaignReport("recovery", seed, n_ops, counts=dict.fromkeys(
+        ("crashes", "recoveries", "torn_recoveries", "snapshot_fallbacks",
+         "replayed_total", "ops_applied", "ops_lost"), 0,
+    ))
+    c = report.counts
     hasher = hashlib.sha256()
     rng = random.Random(f"chaos:{seed}:recovery")
-    crash = CrashPlan(seed, crash_rates or DEFAULT_CRASH_RATES).build()
+    crash = CrashPlan(seed, CRASH_RATES).build()
     if storage is None:
         storage = MemStorage()
 
     kernel = Kernel()
-    store = DurableStore(
-        storage=storage,
-        sync_every=sync_every,
-        snapshot_every=snapshot_every,
-        crash=crash,
-    )
-    m = HashMap(
-        kernel.aspace,
-        kernel.vmalloc,
-        key_size=KEY_SIZE,
-        value_size=VALUE_SIZE,
-        max_entries=max_entries,
-        name="chaos",
-    )
+    store = _churn_store(storage, crash)
+    m = _churn_map(kernel, "chaos")
     store.attach(PIN, m)
-
-    # Shadow oracle: the journaled ops in sequence order.  shadow[i]
-    # carries seq i+1; values are the canonical post-write slot bytes.
-    shadow: list[tuple[str, bytes, bytes]] = []
+    shadow = _Shadow()
     durable_floor = 0
 
-    def apply_prefix(k: int) -> list[tuple[bytes, bytes]]:
-        d: dict[bytes, bytes] = {}
-        for op, key, value in shadow[:k]:
-            if op == "u":
-                d[key] = value
-            else:
-                d.pop(key, None)
-        return sorted(d.items())
-
     def recover_after_crash(i: int):
-        nonlocal kernel, store, m, durable_floor, shadow
+        nonlocal kernel, store, m, durable_floor
         store.crash_volatile()
         kernel = Kernel()
-        store = DurableStore(
-            storage=storage,
-            sync_every=sync_every,
-            snapshot_every=snapshot_every,
-            crash=crash,
-        )
-        attempts = 0
-        while True:
-            try:
-                m, rep = store.recover_map(PIN, kernel.aspace, kernel.vmalloc)
-                break
-            except SimulatedCrash:
-                # Recovery died mid-replay; a restarted recovery must
-                # succeed from the same durable bytes.
-                report.recoveries += 1
-                attempts += 1
-                if attempts > 50:  # rates near 1.0 would livelock
-                    crash.disarm("recovery.replay")
-        report.recoveries += 1
-        report.replayed_total += rep.replayed
+        store = _churn_store(storage, crash)
+        m, rep = _recover_map(store, kernel, crash, report)
+        c["recoveries"] += 1
+        c["replayed_total"] += rep.replayed
         if rep.torn is not None:
-            report.torn_recoveries += 1
-        report.snapshot_fallbacks += rep.snapshots_discarded
+            c["torn_recoveries"] += 1
+        c["snapshot_fallbacks"] += rep.snapshots_discarded
         seq_rec = rep.recovered_seq
         if seq_rec < durable_floor:
-            _record_error(
-                report, i,
+            report.error(
+                i,
                 f"recovery rolled back past durability barrier: "
                 f"seq {seq_rec} < floor {durable_floor}",
             )
-        if seq_rec > len(shadow):
-            _record_error(
-                report, i,
-                f"recovered seq {seq_rec} beyond {len(shadow)} shadow ops",
-            )
-            seq_rec = len(shadow)
-        want = apply_prefix(seq_rec)
-        got = m.entries()
-        if got != want:
-            _record_error(
-                report, i,
-                f"recovered state is not the seq-{seq_rec} prefix: "
-                f"{len(got)} entries vs {len(want)} expected",
-            )
-        report.ops_lost += len(shadow) - seq_rec
-        shadow = shadow[:seq_rec]
-        durable_floor = seq_rec
+        c["ops_lost"] += shadow.rebase(report, i, m, seq_rec)
+        seq_rec = durable_floor = len(shadow.ops)
         _mix(hasher, "recover", i, seq_rec, rep.torn or "-", rep.replayed)
 
     for i in range(n_ops):
-        key = rng.randrange(key_space).to_bytes(KEY_SIZE, "little")
-        do_delete = rng.random() < 0.25
-        value = (
-            b"" if do_delete else rng.getrandbits(8 * VALUE_SIZE).to_bytes(
-                VALUE_SIZE, "little"
-            )
-        )
         try:
-            rc = m.delete(key) if do_delete else m.update(key, value)
+            op, key, value, rc = shadow.churn(rng, m)
         except SimulatedCrash as e:
-            # The in-memory mutation and its WAL append both happened
-            # before any crash site can fire, so the op joins the
-            # shadow before recovery rules on how much history survived.
-            if do_delete:
-                shadow.append(("d", key, b""))
-            else:
-                canonical = m.aspace.read_bytes(m.lookup(key), VALUE_SIZE)
-                shadow.append(("u", key, canonical))
-            report.crashes += 1
             _mix(hasher, i, "crash", e.site)
             recover_after_crash(i)
             continue
         if rc == 0:
-            if do_delete:
-                shadow.append(("d", key, b""))
-            else:
-                canonical = m.aspace.read_bytes(m.lookup(key), VALUE_SIZE)
-                shadow.append(("u", key, canonical))
-            report.ops_applied += 1
+            c["ops_applied"] += 1
             durable_floor = max(durable_floor, store.wal(PIN).durable_seq)
-        _mix(hasher, i, "d" if do_delete else "u", key.hex(), value.hex(), rc)
+        _mix(hasher, i, op, key.hex(), value.hex(), rc)
 
     # Final pass: flush, restart with injection off, expect *exact*
     # convergence — nothing pending, nothing torn, full history.
     try:
         store.flush()
     except SimulatedCrash as e:
-        report.crashes += 1
         _mix(hasher, n_ops, "crash", e.site)
         recover_after_crash(n_ops)
         store.flush()
     store.crash_volatile()
     kernel = Kernel()
-    clean_store = DurableStore(storage=storage, sync_every=sync_every)
+    clean_store = DurableStore(storage=storage, sync_every=1)
     m, rep = clean_store.recover_map(PIN, kernel.aspace, kernel.vmalloc)
-    if rep.recovered_seq != len(shadow):
-        _record_error(
-            report, n_ops,
+    if rep.recovered_seq != len(shadow.ops):
+        report.error(
+            n_ops,
             f"clean recovery lost acknowledged ops: seq {rep.recovered_seq} "
-            f"!= {len(shadow)}",
+            f"!= {len(shadow.ops)}",
         )
-    if m.entries() != apply_prefix(len(shadow)):
-        _record_error(report, n_ops, "clean recovery state mismatch")
+    if m.entries() != shadow.prefix(len(shadow.ops)):
+        report.error(n_ops, "clean recovery state mismatch")
     if rep.torn is not None:
-        _record_error(report, n_ops, f"clean recovery saw torn WAL: {rep.torn}")
-    report.recoveries += 1
-
-    report.crashes = crash.total_crashes()
-    report.sites_crashed = tuple(sorted(crash.sites_crashed()))
-    for site, ordinal in crash.log:
-        _mix(hasher, "crashlog", site, ordinal)
-    report.digest = hasher.hexdigest()
-    return report
+        report.error(n_ops, f"clean recovery saw torn WAL: {rep.torn}")
+    c["recoveries"] += 1
+    return _crash_tail(report, hasher, crash, "crashes")
 
 
-DEFAULT_REPLICATION_RATES = {
+REPLICATION_RATES = {
     # primary-side durability sites (kept mild: each fires a promotion)
     "wal.append": 0.003,
     "wal.flush": 0.003,
@@ -664,65 +608,17 @@ DEFAULT_REPLICATION_RATES = {
     "promote.recover": 0.120,
 }
 
-
-@dataclass
-class ReplicationChaosReport:
-    """Outcome of one replicated-durability fuzz run."""
-
-    seed: int
-    n_ops: int
-    sync_replicas: int = 1
-    digest: str = ""
-    deaths: int = 0
-    sites_crashed: tuple = ()
-    primary_deaths: int = 0
-    follower_deaths: int = 0
-    promotion_deaths: int = 0
-    promotions: int = 0
-    epoch: int = 1
-    recoveries: int = 0
-    follower_restarts: int = 0
-    acked_ops: int = 0
-    quorum_losses: int = 0
-    resyncs: int = 0
-    snapshots_shipped: int = 0
-    fence_checks: int = 0
-    #: Oracle violations: (op index, description).  Must be empty.
-    errors: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.errors)} ERRORS"
-        sites = ",".join(self.sites_crashed) or "-"
-        return (
-            f"chaos[replication] seed={self.seed} ops={self.n_ops} "
-            f"k={self.sync_replicas} deaths={self.deaths} ({sites}) "
-            f"primary={self.primary_deaths} follower={self.follower_deaths} "
-            f"promotions={self.promotions} epoch={self.epoch} "
-            f"acked={self.acked_ops} qlost={self.quorum_losses} "
-            f"resyncs={self.resyncs} fences={self.fence_checks} "
-            f"digest={self.digest[:16]} {status}"
-        )
+#: In-process followers behind the fuzzed primary.
+FOLLOWERS = 2
 
 
 def run_replication_campaign(
-    seed: int = 0,
-    n_ops: int = 1200,
-    *,
-    n_followers: int = 2,
-    sync_replicas: int = 1,
-    crash_rates: dict | None = None,
-    snapshot_every: int | None = 64,
-    key_space: int = 48,
-    max_entries: int = 64,
-) -> ReplicationChaosReport:
+    seed: int = 0, n_ops: int = 1200, *, sync_replicas: int = 1
+) -> CampaignReport:
     """Seeded fuzz over a full replica set: primary + N followers.
 
     Random churn runs against a journaled map whose WAL is shipped to
-    ``n_followers`` in-process replicas at write quorum
+    ``FOLLOWERS`` in-process replicas at write quorum
     ``sync_replicas``.  Crash injection kills the primary (wal/snapshot
     /ship sites), followers (replica.* and antientropy.install fire
     *inside* the follower's frame handler — a death the primary sees as
@@ -739,10 +635,7 @@ def run_replication_campaign(
     prefix at that seq.  The final convergence pass then requires every
     node's durable bytes to recover to the *exact* full history.
     """
-    import random
-
-    from repro.ebpf.maps import HashMap
-    from repro.errors import PrimaryFenced, QuorumLost, SimulatedCrash
+    from repro.errors import PrimaryFenced, QuorumLost
     from repro.kernel.machine import Kernel
     from repro.sim.faults import CRASH_SITES, CrashPlan
     from repro.state import DurableStore, MemStorage
@@ -752,27 +645,33 @@ def run_replication_campaign(
         LocalChannel,
         QuorumShipper,
         ReplicaSession,
+        ShipStats,
         decode_frame,
         encode_frame,
     )
 
-    PIN = "chaos/map"
-    KEY_SIZE, VALUE_SIZE = 8, 16
-    report = ReplicationChaosReport(seed, n_ops, sync_replicas=sync_replicas)
+    report = CampaignReport(
+        "replication", seed, n_ops, variant=f"k={sync_replicas}",
+        counts=dict.fromkeys(
+            ("deaths", "primary_deaths", "follower_deaths",
+             "promotion_deaths", "promotions", "epoch", "recoveries",
+             "follower_restarts", "acked_ops", "quorum_losses", "resyncs",
+             "snapshots_shipped", "fence_checks"), 0,
+        ),
+    )
+    c = report.counts
     hasher = hashlib.sha256()
     rng = random.Random(f"chaos:{seed}:replication")
-    crash = CrashPlan(seed, crash_rates or DEFAULT_REPLICATION_RATES).build()
+    crash = CrashPlan(seed, REPLICATION_RATES).build()
 
-    n_nodes = n_followers + 1
+    n_nodes = FOLLOWERS + 1
     node_storage = [MemStorage() for _ in range(n_nodes)]
     primary = 0
     epoch = 1
     sessions: dict[int, ReplicaSession] = {}
     channels: dict[int, LocalChannel] = {}
 
-    from repro.state.replication import ShipStats
-
-    shadow: list[tuple[str, bytes, bytes]] = []
+    shadow = _Shadow()
     #: seq -> follower node_ids that durably acked it (quorum evidence).
     acked: dict[int, tuple[str, ...]] = {}
     #: Shipping totals across every primary incarnation.
@@ -789,7 +688,7 @@ def run_replication_campaign(
                     node_storage[n], node_id=f"n{n}", crash=crash
                 )
                 if sess is not None:
-                    report.follower_restarts += 1
+                    c["follower_restarts"] += 1
                 ch = channels.get(n)
                 if ch is not None:
                     ch.restart(sessions[n])
@@ -808,33 +707,11 @@ def run_replication_campaign(
             maintenance_every=None,  # the harness repairs deterministically
         )
 
-    def apply_prefix(k: int) -> list[tuple[bytes, bytes]]:
-        d: dict[bytes, bytes] = {}
-        for op, key, value in shadow[:k]:
-            if op == "u":
-                d[key] = value
-            else:
-                d.pop(key, None)
-        return sorted(d.items())
-
     boot_followers()
     kernel = Kernel()
     shipper = make_shipper()
-    store = DurableStore(
-        storage=node_storage[primary],
-        sync_every=1,
-        snapshot_every=snapshot_every,
-        crash=crash,
-        shipper=shipper,
-    )
-    m = HashMap(
-        kernel.aspace,
-        kernel.vmalloc,
-        key_size=KEY_SIZE,
-        value_size=VALUE_SIZE,
-        max_entries=max_entries,
-        name="chaos-repl",
-    )
+    store = _churn_store(node_storage[primary], crash, shipper)
+    m = _churn_map(kernel, "chaos-repl")
     store.attach(PIN, m)
 
     def count_follower_deaths() -> None:
@@ -845,11 +722,11 @@ def run_replication_campaign(
                 sess, "_counted", False
             ):
                 sess._counted = True
-                report.follower_deaths += 1
+                c["follower_deaths"] += 1
 
     def handle_primary_death(i: int, site: str) -> None:
-        nonlocal primary, epoch, kernel, store, m, shipper, shadow, acked
-        report.primary_deaths += 1
+        nonlocal primary, epoch, kernel, store, m, shipper, acked
+        c["primary_deaths"] += 1
         _mix(hasher, i, "primary-death", site)
         store.crash_volatile()
         count_follower_deaths()
@@ -882,7 +759,7 @@ def run_replication_campaign(
                 except SimulatedCrash:
                     # The chosen promotee died mid-promotion: its
                     # volatile state is gone, pick the next-best.
-                    report.promotion_deaths += 1
+                    c["promotion_deaths"] += 1
                     sessions[promoted].crashed = True
                     node_storage[promoted].crash()
                     count_follower_deaths()
@@ -895,7 +772,7 @@ def run_replication_campaign(
         primary = promoted
         epoch += 1
         if promoted != old_primary:
-            report.promotions += 1
+            c["promotions"] += 1
             sessions.pop(promoted, None)
             # The deposed node rejoins as a follower over its surviving
             # storage; its unshipped WAL suffix is untrusted (dirty)
@@ -908,43 +785,18 @@ def run_replication_campaign(
         kernel = Kernel()
         total_ship.merge(shipper.stats)
         shipper = make_shipper()
-        store = DurableStore(
-            storage=node_storage[primary],
-            sync_every=1,
-            snapshot_every=snapshot_every,
-            crash=crash,
-            shipper=shipper,
-        )
-        rattempts = 0
-        while True:
-            try:
-                m, rep = store.recover_map(PIN, kernel.aspace, kernel.vmalloc)
-                break
-            except SimulatedCrash:
-                report.recoveries += 1
-                rattempts += 1
-                if rattempts > 50:
-                    crash.disarm("recovery.replay")
-        report.recoveries += 1
+        store = _churn_store(node_storage[primary], crash, shipper)
+        m, rep = _recover_map(store, kernel, crash, report)
+        c["recoveries"] += 1
         seq_rec = rep.recovered_seq
         if seq_rec < floor:
-            _record_error(
-                report, i,
+            report.error(
+                i,
                 f"acked write lost in promotion: recovered seq {seq_rec} "
                 f"< acked floor {floor}",
             )
-        if seq_rec > len(shadow):
-            _record_error(
-                report, i,
-                f"recovered seq {seq_rec} beyond {len(shadow)} shadow ops",
-            )
-            seq_rec = len(shadow)
-        if m.entries() != apply_prefix(seq_rec):
-            _record_error(
-                report, i,
-                f"promoted state is not the seq-{seq_rec} shadow prefix",
-            )
-        shadow = shadow[:seq_rec]
+        shadow.rebase(report, i, m, seq_rec)
+        seq_rec = len(shadow.ops)
         acked = {q: v for q, v in acked.items() if q <= seq_rec}
         shipper.announce()  # fence survivors onto the new epoch
         _mix(hasher, "promote", i, primary, epoch, seq_rec)
@@ -957,7 +809,7 @@ def run_replication_campaign(
         shipper.maintenance()
 
     for i in range(n_ops):
-        if report.promotions and i % 61 == 0:
+        if c["promotions"] and i % 61 == 0:
             # A deposed primary's late frame must bounce: any follower
             # already at the current epoch answers ST_FENCED.
             for n in follower_nodes():
@@ -968,54 +820,36 @@ def run_replication_campaign(
                                          PIN, b"")
                     ack = decode_frame(sess.handle_frame(stale))
                     if ack.status != ST_FENCED:
-                        _record_error(
-                            report, i,
+                        report.error(
+                            i,
                             f"stale epoch {epoch - 1} frame not fenced "
                             f"(status {ack.status})",
                         )
-                    report.fence_checks += 1
+                    c["fence_checks"] += 1
                     break
 
-        key = rng.randrange(key_space).to_bytes(KEY_SIZE, "little")
-        do_delete = rng.random() < 0.25
-        value = (
-            b"" if do_delete else rng.getrandbits(8 * VALUE_SIZE).to_bytes(
-                VALUE_SIZE, "little"
-            )
-        )
+        # An op interrupted by a crash joined the shadow; promotion
+        # rules on whether it survived.
         try:
-            rc = m.delete(key) if do_delete else m.update(key, value)
+            op, key, value, rc = shadow.churn(rng, m)
         except SimulatedCrash as e:
-            # Mutation + WAL append landed before the crash site fired;
-            # the op joins the shadow and promotion rules on survival.
-            if do_delete:
-                shadow.append(("d", key, b""))
-            else:
-                canonical = m.aspace.read_bytes(m.lookup(key), VALUE_SIZE)
-                shadow.append(("u", key, canonical))
             handle_primary_death(i, e.site)
             continue
-        if rc == 0:
-            if do_delete:
-                shadow.append(("d", key, b""))
-            else:
-                canonical = m.aspace.read_bytes(m.lookup(key), VALUE_SIZE)
-                shadow.append(("u", key, canonical))
-        _mix(hasher, i, "d" if do_delete else "u", key.hex(), value.hex(), rc)
+        _mix(hasher, i, op, key.hex(), value.hex(), rc)
 
         try:
             for q, nodes in shipper.commit().items():
                 acked[q] = nodes
-                report.acked_ops += 1
+                c["acked_ops"] += 1
         except SimulatedCrash as e:
             handle_primary_death(i, e.site)
             continue
         except QuorumLost:
             # Durable locally, NOT acked to the client; the shadow op
             # stays (it is history) but `acked` does not record it.
-            report.quorum_losses += 1
+            c["quorum_losses"] += 1
         except PrimaryFenced:
-            _record_error(report, i, "primary fenced without a promotion")
+            report.error(i, "primary fenced without a promotion")
 
         if any(
             sessions.get(n) is None or sessions[n].crashed
@@ -1053,47 +887,40 @@ def run_replication_campaign(
         except (QuorumLost, PrimaryFenced):
             pass
     if not converged:
-        _record_error(report, n_ops, "replica set failed to converge")
+        report.error(n_ops, "replica set failed to converge")
     else:
-        target = len(shadow)
-        want = apply_prefix(target)
+        target = len(shadow.ops)
+        want = shadow.prefix(target)
         for n in range(n_nodes):
             fstore = DurableStore(storage=node_storage[n])
             fk = Kernel()
             try:
                 fm, frep = fstore.recover_map(PIN, fk.aspace, fk.vmalloc)
             except Exception as exc:
-                _record_error(report, n_ops, f"node {n} unrecoverable: {exc}")
+                report.error(n_ops, f"node {n} unrecoverable: {exc}")
                 continue
             if frep.recovered_seq != target:
-                _record_error(
-                    report, n_ops,
+                report.error(
+                    n_ops,
                     f"node {n} converged to seq {frep.recovered_seq}, "
                     f"expected {target}",
                 )
             elif fm.entries() != want:
-                _record_error(
-                    report, n_ops, f"node {n} state diverges at seq {target}"
-                )
+                report.error(n_ops, f"node {n} state diverges at seq {target}")
 
     count_follower_deaths()
-    report.deaths = crash.total_crashes()
-    report.sites_crashed = tuple(sorted(crash.sites_crashed()))
-    report.epoch = epoch
+    c["epoch"] = epoch
     total_ship.merge(shipper.stats)
-    report.resyncs = total_ship.resyncs
-    report.snapshots_shipped = total_ship.snapshots_shipped
-    for site, ordinal in crash.log:
-        _mix(hasher, "crashlog", site, ordinal)
-    report.digest = hasher.hexdigest()
-    return report
+    c["resyncs"] = total_ship.resyncs
+    c["snapshots_shipped"] = total_ship.snapshots_shipped
+    return _crash_tail(report, hasher, crash, "deaths")
 
 
 # ---------------------------------------------------------------------------
 # Fleet control plane (repro.fleet): migration + rollout crash fuzz
 # ---------------------------------------------------------------------------
 
-DEFAULT_FLEET_RATES = {
+FLEET_RATES = {
     # live-migration crash sites (source image cut, target install,
     # tail rounds, and the paused cutover window)
     "migrate.snapshot": 0.10,
@@ -1110,59 +937,12 @@ DEFAULT_FLEET_RATES = {
 }
 
 
-@dataclass
-class FleetChaosReport:
-    """Outcome of one fleet-control-plane fuzz run."""
-
-    seed: int
-    n_ops: int
-    digest: str = ""
-    deaths: int = 0
-    sites_crashed: tuple = ()
-    migration_deaths: int = 0
-    rollout_deaths: int = 0
-    scale_outs: int = 0
-    scale_ins: int = 0
-    aborted_migrations: int = 0
-    rollouts: int = 0
-    promotes: int = 0
-    rollbacks: int = 0
-    no_datas: int = 0
-    aborted_rollouts: int = 0
-    recoveries: int = 0
-    rescans: int = 0
-    shards_final: int = 0
-    acked_ops: int = 0
-    #: Oracle violations: (op index, description).  Must be empty.
-    errors: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.errors)} ERRORS"
-        sites = ",".join(self.sites_crashed) or "-"
-        return (
-            f"chaos[fleet] seed={self.seed} ops={self.n_ops} "
-            f"deaths={self.deaths} ({sites}) "
-            f"mig={self.migration_deaths} roll={self.rollout_deaths} "
-            f"out={self.scale_outs} in={self.scale_ins} "
-            f"rollouts={self.rollouts} promote={self.promotes} "
-            f"rollback={self.rollbacks} nodata={self.no_datas} "
-            f"rescans={self.rescans} shards={self.shards_final} "
-            f"acked={self.acked_ops} digest={self.digest[:16]} {status}"
-        )
+#: Shards the fleet starts with, and the key space its traffic draws.
+FLEET_SHARDS = 2
+FLEET_KEYS = 512
 
 
-def run_fleet_campaign(
-    seed: int = 0,
-    ops: int = 400,
-    *,
-    n_shards: int = 2,
-    n_keys: int = 512,
-    report: FleetChaosReport | None = None,
-) -> FleetChaosReport:
+def run_fleet_campaign(seed: int = 0, ops: int = 400) -> CampaignReport:
     """Seeded crash-point fuzz over the fleet control plane.
 
     An inline fleet (no threads, no sockets — every shard a full
@@ -1185,13 +965,10 @@ def run_fleet_campaign(
     * **rollout safety** — a flaky artifact is never promoted
       fleet-wide, and a clean artifact is never rolled back.
     """
-    import random as _random
-
     from repro.apps.memcached import protocol as P
     from repro.apps.memcached.durable_ext import (
         build_durable_memcached_program,
     )
-    from repro.errors import SimulatedCrash
     from repro.fleet.migrate import SegmentMigration, inline_call
     from repro.fleet.rollout import (
         NO_DATA,
@@ -1207,10 +984,16 @@ def run_fleet_campaign(
     from repro.state.storage import MemStorage
     from repro.state.store import DurableStore
 
-    report = report or FleetChaosReport(seed=seed, n_ops=ops)
-    rng = _random.Random(f"fleetchaos:{seed}")
+    report = CampaignReport("fleet", seed, ops, counts=dict.fromkeys(
+        ("deaths", "migration_deaths", "rollout_deaths", "scale_outs",
+         "scale_ins", "aborted_migrations", "rollouts", "promotes",
+         "rollbacks", "no_datas", "aborted_rollouts", "recoveries",
+         "rescans", "shards_final", "acked_ops"), 0,
+    ))
+    c = report.counts
+    rng = random.Random(f"fleetchaos:{seed}")
     hasher = hashlib.sha256()
-    crash = CrashPlan(seed, rates=dict(DEFAULT_FLEET_RATES)).build()
+    crash = CrashPlan(seed, rates=dict(FLEET_RATES)).build()
     PIN = "memcached/cache"
 
     def builder_for(version: str):
@@ -1225,7 +1008,7 @@ def run_fleet_campaign(
 
     shards: dict[int, dict] = {}
     versions: dict[int, str] = {}
-    state = {"stable": "stable"}
+    stable = "stable"
     quarantined: set[str] = set()
 
     def build_svc(sid: int):
@@ -1245,7 +1028,7 @@ def run_fleet_campaign(
                 )
             except SimulatedCrash:
                 shards[sid]["storage"].crash()
-                report.recoveries += 1
+                c["recoveries"] += 1
                 attempts += 1
                 if attempts >= 25:
                     crash.disarm("recovery.replay")
@@ -1253,22 +1036,22 @@ def run_fleet_campaign(
     def kill(sid: int) -> None:
         shards[sid]["svc"].store.crash_volatile()
         shards[sid]["svc"] = build_svc(sid)
-        report.recoveries += 1
+        c["recoveries"] += 1
 
-    for sid in range(n_shards):
+    for sid in range(FLEET_SHARDS):
         shards[sid] = {"storage": MemStorage()}
         versions[sid] = "stable"
         shards[sid]["svc"] = build_svc(sid)
     ring = ConsistentHashRing(sorted(shards))
-    next_sid = n_shards
+    next_sid = FLEET_SHARDS
     vcounter = 0
     shadow: dict[int, int] = {}
-    next_val = [1]
+    next_val = 1
     #: While a flaky canary window is open: (canary sid, drop mask).
-    flaky_window = [None]
+    flaky_window = None
 
     def tolerated_drop(sid: int, key_id: int) -> bool:
-        fw = flaky_window[0]
+        fw = flaky_window
         return fw is not None and fw[0] == sid and (key_id & fw[1]) == 0
 
     def do_request(i: int, key_id: int, set_val=None) -> None:
@@ -1283,8 +1066,8 @@ def run_fleet_campaign(
         _mix(hasher, "req", i, sid, key_id, set_val, path)
         if reply is None:
             if not tolerated_drop(sid, key_id):
-                _record_error(
-                    report, i,
+                report.error(
+                    i,
                     f"request dropped outside a flaky window "
                     f"(shard {sid}, key {key_id}, path {path})",
                 )
@@ -1293,27 +1076,26 @@ def run_fleet_campaign(
         if set_val is not None:
             if hit:
                 shadow[key_id] = set_val
-                report.acked_ops += 1
+                c["acked_ops"] += 1
             return
         expected = shadow.get(key_id)
         if expected is None:
             if hit:
-                _record_error(
-                    report, i, f"phantom hit for never-acked key {key_id}"
-                )
+                report.error(i, f"phantom hit for never-acked key {key_id}")
         elif not hit or value != expected:
-            _record_error(
-                report, i,
+            report.error(
+                i,
                 f"acked write lost: key {key_id} expected {expected}, "
                 f"got hit={hit} value={value}",
             )
 
     def traffic(i: int, n: int) -> None:
+        nonlocal next_val
         for _ in range(n):
-            k = rng.randrange(n_keys)
+            k = rng.randrange(FLEET_KEYS)
             if rng.random() < 0.5:
-                v = next_val[0]
-                next_val[0] += 1
+                v = next_val
+                next_val += 1
                 do_request(i, k, set_val=v)
             else:
                 do_request(i, k)
@@ -1325,14 +1107,12 @@ def run_fleet_campaign(
             if reply is None:
                 if tolerated_drop(sid, k):
                     continue
-                _record_error(
-                    report, i, f"[{ctx}] no reply for acked key {k}"
-                )
+                report.error(i, f"[{ctx}] no reply for acked key {k}")
                 continue
             hit, value = P.decode_reply(reply)
             if not hit or value != shadow[k]:
-                _record_error(
-                    report, i,
+                report.error(
+                    i,
                     f"[{ctx}] acked write lost: key {k} expected "
                     f"{shadow[k]}, got hit={hit} value={value}",
                 )
@@ -1381,17 +1161,18 @@ def run_fleet_campaign(
             return False
         # Atomic cutover.
         ring.__dict__.update(new_ring.__dict__)
-        report.rescans += sum(m.report.rescans for _, _, m in migs)
+        c["rescans"] += sum(m.report.rescans for _, _, m in migs)
         if cleanup_sources:
             for src, dst, mig in migs:
                 mig.cleanup_source()
         return True
 
     def event_scale_out(i) -> None:
-        sid = next_sid_holder[0]
-        next_sid_holder[0] += 1
+        nonlocal next_sid
+        sid = next_sid
+        next_sid += 1
         shards[sid] = {"storage": MemStorage()}
-        versions[sid] = state["stable"]
+        versions[sid] = stable
         shards[sid]["svc"] = build_svc(sid)
         new_ring = ring.copy()
         new_ring.add_node(sid)
@@ -1399,13 +1180,13 @@ def run_fleet_campaign(
         plan_ = [(src, sid, moved) for src in ring.nodes]
         for _ in range(10):
             if run_migrations(i, plan_, new_ring, cleanup_sources=True):
-                report.scale_outs += 1
+                c["scale_outs"] += 1
                 return
         # Could not complete: the new shard never joined the ring, so
         # dropping it wholesale is invisible to clients.
         shards.pop(sid)
         versions.pop(sid)
-        report.aborted_migrations += 1
+        c["aborted_migrations"] += 1
 
     def event_scale_in(i) -> None:
         sid = rng.choice(ring.nodes)
@@ -1419,9 +1200,9 @@ def run_fleet_campaign(
             if run_migrations(i, plan_, new_ring, cleanup_sources=False):
                 shards.pop(sid)
                 versions.pop(sid)
-                report.scale_ins += 1
+                c["scale_ins"] += 1
                 return
-        report.aborted_migrations += 1
+        c["aborted_migrations"] += 1
 
     judge = CanaryJudge(CanaryPolicy(min_requests=1, fault_margin=0.01))
 
@@ -1438,14 +1219,13 @@ def run_fleet_campaign(
         )
 
     def event_rollout(i) -> None:
-        vcounter_holder[0] += 1
+        nonlocal vcounter, flaky_window, stable
+        vcounter += 1
         flaky = rng.random() < 0.5
-        version = (
-            f"flaky-{vcounter_holder[0]}" if flaky else f"good-{vcounter_holder[0]}"
-        )
+        version = f"flaky-{vcounter}" if flaky else f"good-{vcounter}"
         if version in quarantined:
             return
-        report.rollouts += 1
+        c["rollouts"] += 1
         canary = min(ring.nodes)
         others = [s for s in ring.nodes if s != canary]
         canary0 = reading(canary)
@@ -1455,11 +1235,11 @@ def run_fleet_campaign(
             shards[canary]["svc"].swap_program(builder_for(version))
         except SimulatedCrash:
             kill(canary)  # comes back serving its previous version
-            report.aborted_rollouts += 1
+            c["aborted_rollouts"] += 1
             return
         versions[canary] = version
         if flaky:
-            flaky_window[0] = (canary, 0x03)
+            flaky_window = (canary, 0x03)
         try:
             for _ in range(6):
                 crash.at("rollout.window")
@@ -1468,10 +1248,10 @@ def run_fleet_campaign(
             # The canary died mid-window: recovery restarts it on the
             # last converged (stable) artifact — the rollout aborts
             # with no promotion and no quarantine.
-            versions[canary] = state["stable"]
-            flaky_window[0] = None
+            versions[canary] = stable
+            flaky_window = None
             kill(canary)
-            report.aborted_rollouts += 1
+            c["aborted_rollouts"] += 1
             return
         canary_d = reading(canary).delta(canary0)
         base_d = sum_readings(others).delta(base0)
@@ -1480,25 +1260,25 @@ def run_fleet_campaign(
              canary_d.requests, canary_d.dropped)
         if verdict == ROLLBACK:
             if not flaky:
-                _record_error(
-                    report, i,
+                report.error(
+                    i,
                     f"clean artifact {version} rolled back "
                     f"(canary {canary_d}, baseline {base_d})",
                 )
-            flaky_window[0] = None
+            flaky_window = None
             try:
                 crash.at("rollout.rollback")
-                shards[canary]["svc"].swap_program(builder_for(state["stable"]))
-                versions[canary] = state["stable"]
+                shards[canary]["svc"].swap_program(builder_for(stable))
+                versions[canary] = stable
             except SimulatedCrash:
-                versions[canary] = state["stable"]
+                versions[canary] = stable
                 kill(canary)  # recovery rebuilds on stable: same outcome
             quarantined.add(version)
-            report.rollbacks += 1
+            c["rollbacks"] += 1
         elif verdict == PROMOTE:
             if flaky:
-                _record_error(
-                    report, i,
+                report.error(
+                    i,
                     f"flaky artifact {version} promoted fleet-wide "
                     f"(canary {canary_d}, baseline {base_d})",
                 )
@@ -1512,17 +1292,14 @@ def run_fleet_campaign(
                     # comes up on the new version.
                     versions[sid] = version
                     kill(sid)
-            state["stable"] = version
-            flaky_window[0] = None
-            report.promotes += 1
+            stable = version
+            flaky_window = None
+            c["promotes"] += 1
         else:  # NO_DATA: neither promote nor roll back (nor quarantine)
-            flaky_window[0] = None
-            shards[canary]["svc"].swap_program(builder_for(state["stable"]))
-            versions[canary] = state["stable"]
-            report.no_datas += 1
-
-    next_sid_holder = [next_sid]
-    vcounter_holder = [vcounter]
+            flaky_window = None
+            shards[canary]["svc"].swap_program(builder_for(stable))
+            versions[canary] = stable
+            c["no_datas"] += 1
 
     traffic(0, 40)  # seed the key-space before the first event
     for i in range(1, ops + 1):
@@ -1544,57 +1321,21 @@ def run_fleet_campaign(
                 event_rollout(i)
             verify_all(i, ev)
 
-    flaky_window[0] = None
+    flaky_window = None
     verify_all(ops + 1, "final")
-    report.deaths = crash.total_crashes()
-    report.sites_crashed = tuple(sorted(crash.sites_crashed()))
-    report.migration_deaths = sum(
+    c["migration_deaths"] = sum(
         n for s, n in crash.crashes.items() if s.startswith("migrate.")
     )
-    report.rollout_deaths = sum(
+    c["rollout_deaths"] = sum(
         n for s, n in crash.crashes.items() if s.startswith("rollout.")
     )
-    report.shards_final = len(ring.nodes)
-    for site, ordinal in crash.log:
-        _mix(hasher, "crashlog", site, ordinal)
-    report.digest = hasher.hexdigest()
-    return report
+    c["shards_final"] = len(ring.nodes)
+    return _crash_tail(report, hasher, crash, "deaths")
 
 
 # ---------------------------------------------------------------------------
 # Verification-service chaos: worker kills mid-exploration
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class VerifyChaosReport:
-    """Outcome of one verification-service worker-kill run."""
-
-    seed: int
-    n_programs: int
-    workers: int = 0
-    kills: int = 0
-    retries: int = 0
-    regions_retried: int = 0
-    #: Jobs whose merged analysis differed from the inline verifier.
-    mismatches: int = 0
-    #: Jobs that came back failed (must be zero: every program admits).
-    failures: int = 0
-    digest: str = ""
-    errors: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.errors)} ERRORS"
-        return (
-            f"chaos[verify] seed={self.seed} programs={self.n_programs} "
-            f"workers={self.workers} kills={self.kills} "
-            f"retries={self.retries} regions_retried={self.regions_retried} "
-            f"digest={self.digest[:16]} {status}"
-        )
 
 
 def _verify_chaos_program(variant: int):
@@ -1623,28 +1364,31 @@ def _verify_chaos_program(variant: int):
                    heap_size=4096)
 
 
-def run_verify_campaign(
-    seed: int = 0,
-    n_programs: int = 12,
-    *,
-    workers: int = 2,
-    profile: str = "default",
-) -> VerifyChaosReport:
+#: Forked verification workers, and the verifier profile they run.
+VERIFY_WORKERS = 2
+VERIFY_PROFILE = "default"
+
+
+def run_verify_campaign(seed: int = 0, n_programs: int = 12) -> CampaignReport:
     """Kill verification workers mid-exploration and check the
     scheduler's story: every killed job is retried (with the kill
     stripped), every retry re-explores from scratch, and every merged
     analysis is *bit-identical* to the inline single-threaded verifier
     — a crashed worker's partial progress is never admitted.
     """
-    import random
-
     from repro.ebpf.verifier import Verifier
     from repro.verify import VerificationService, VerifyJob
     from repro.verify.profiles import profile_config
 
     rng = random.Random(seed)
-    config = profile_config(profile)
-    report = VerifyChaosReport(seed, n_programs, workers=workers)
+    config = profile_config(VERIFY_PROFILE)
+    # mismatches: jobs whose merged analysis differed from the inline
+    # verifier; failures: jobs that came back failed (must be zero:
+    # every program admits).
+    report = CampaignReport("verify", seed, n_programs, counts=dict.fromkeys(
+        ("kills", "retries", "regions_retried", "mismatches", "failures"), 0,
+    ))
+    c = report.counts
     hasher = hashlib.sha256()
 
     programs = [_verify_chaos_program(v) for v in range(n_programs)]
@@ -1652,35 +1396,33 @@ def run_verify_campaign(
     for i, prog in enumerate(programs):
         die = rng.randrange(1, 4) if rng.random() < 0.5 else None
         if die is not None:
-            report.kills += 1
+            c["kills"] += 1
         jobs.append(VerifyJob(prog, config, die_after_regions=die))
 
-    svc = VerificationService(workers=workers, poll_s=0.02)
+    svc = VerificationService(workers=VERIFY_WORKERS, poll_s=0.02)
     try:
         outs = svc.submit_batch(jobs)
     finally:
         stats = dict(svc.stats)
         svc.close()
-    report.retries = stats["retries"]
-    report.regions_retried = stats["regions_retried"]
+    c["retries"] = stats["retries"]
+    c["regions_retried"] = stats["regions_retried"]
 
     for i, (prog, out) in enumerate(zip(programs, outs)):
         if out.error is not None:
-            report.failures += 1
-            report.errors.append((i, f"job failed: {out.error}"))
+            c["failures"] += 1
+            report.error(i, f"job failed: {out.error}")
             continue
         ref = Verifier(prog, config).verify()
         if out.analysis != ref:
-            report.mismatches += 1
-            report.errors.append(
-                (i, "merged analysis differs from inline verifier")
-            )
+            c["mismatches"] += 1
+            report.error(i, "merged analysis differs from inline verifier")
             continue
         _mix(hasher, "verify", i, sorted(ref.object_tables),
              ref.insns_processed)
-    if report.retries < report.kills:
-        report.errors.append(
-            (-1, f"only {report.retries} retries for {report.kills} kills")
+    if c["retries"] < c["kills"]:
+        report.error(
+            None, f"only {c['retries']} retries for {c['kills']} kills"
         )
     report.digest = hasher.hexdigest()
     return report
@@ -1691,193 +1433,9 @@ _CAMPAIGNS = {
     "redis": run_redis_campaign,
     "datastructures": run_datastructures_campaign,
 }
+#: Campaign apps, in gate order.
+APPS = tuple(_CAMPAIGNS)
 
 
-def run_campaign(app: str, *args, **kwargs) -> ChaosReport:
+def run_campaign(app: str, *args, **kwargs) -> CampaignReport:
     return _CAMPAIGNS[app](*args, **kwargs)
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    ap = argparse.ArgumentParser(description="seeded chaos campaigns")
-    ap.add_argument(
-        "--apps", nargs="+", default=list(APPS), choices=(*APPS, "none"),
-        help='campaign apps; "none" skips app campaigns (recovery-only runs)',
-    )
-    ap.add_argument("--engines", nargs="+", default=["interp", "threaded"])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--ops", type=int, default=300)
-    ap.add_argument(
-        "--recovery", type=int, default=0, metavar="RUNS",
-        help="also run RUNS crash-recovery fuzz runs (seeds seed..seed+RUNS-1)",
-    )
-    ap.add_argument(
-        "--recovery-ops", type=int, default=1500,
-        help="mutations per recovery fuzz run",
-    )
-    ap.add_argument(
-        "--recovery-dir", default=None, metavar="DIR",
-        help="file-backed recovery fuzz under DIR (default: in-memory)",
-    )
-    ap.add_argument(
-        "--min-crashes", type=int, default=0,
-        help="fail unless the recovery runs injected at least this many crashes",
-    )
-    ap.add_argument(
-        "--replication", type=int, default=0, metavar="RUNS",
-        help="also run RUNS replicated-durability fuzz runs "
-             "(seeds seed..seed+RUNS-1, plus one sync_replicas=2 run)",
-    )
-    ap.add_argument(
-        "--replication-ops", type=int, default=1200,
-        help="mutations per replication fuzz run",
-    )
-    ap.add_argument(
-        "--min-deaths", type=int, default=0,
-        help="fail unless the replication runs injected at least this "
-             "many node deaths",
-    )
-    ap.add_argument(
-        "--fleet", type=int, default=0, metavar="RUNS",
-        help="also run RUNS fleet-control-plane fuzz runs "
-             "(live migration + canary rollouts under crash injection)",
-    )
-    ap.add_argument(
-        "--fleet-ops", type=int, default=150,
-        help="event-loop steps per fleet fuzz run",
-    )
-    ap.add_argument(
-        "--min-fleet-deaths", type=int, default=0,
-        help="fail unless the fleet runs injected at least this many "
-             "shard deaths",
-    )
-    ap.add_argument(
-        "--verify", type=int, default=0, metavar="RUNS",
-        help="also run RUNS verification-service worker-kill runs "
-             "(seeds seed..seed+RUNS-1)",
-    )
-    ap.add_argument(
-        "--verify-programs", type=int, default=12,
-        help="programs per verification-service chaos run",
-    )
-    args = ap.parse_args(argv)
-
-    failed = False
-    for app in [a for a in args.apps if a != "none"]:
-        digests = {}
-        for engine in args.engines:
-            report = run_campaign(app, args.seed, args.ops, engine)
-            print(report.describe())
-            for idx, msg in report.errors:
-                print(f"  op {idx}: {msg}")
-            digests[engine] = report.digest
-            failed |= not report.ok
-        if len(set(digests.values())) > 1:
-            print(f"  ENGINE DIVERGENCE in {app}: {digests}")
-            failed = True
-
-    total_crashes = 0
-    for i in range(args.recovery):
-        storage = None
-        if args.recovery_dir is not None:
-            from repro.state import DirStorage
-
-            storage = DirStorage(f"{args.recovery_dir}/run{i}")
-        report = run_recovery_campaign(
-            args.seed + i, args.recovery_ops, storage=storage
-        )
-        print(report.describe())
-        for idx, msg in report.errors:
-            print(f"  op {idx}: {msg}")
-        total_crashes += report.crashes
-        failed |= not report.ok
-    if args.recovery:
-        print(f"recovery fuzz: {total_crashes} injected crashes total")
-        if total_crashes < args.min_crashes:
-            print(
-                f"  INSUFFICIENT CRASH COVERAGE: {total_crashes} < "
-                f"{args.min_crashes}"
-            )
-            failed = True
-
-    total_deaths = 0
-    phases_hit: set = set()
-    if args.replication:
-        runs = [
-            (args.seed + i, args.replication_ops, 1)
-            for i in range(args.replication)
-        ]
-        # One quorum-2 leg: every follower outage is then a quorum loss.
-        runs.append((args.seed + 99, max(400, args.replication_ops // 2), 2))
-        for run_seed, run_ops, k in runs:
-            report = run_replication_campaign(
-                run_seed, run_ops, sync_replicas=k
-            )
-            print(report.describe())
-            for idx, msg in report.errors:
-                print(f"  op {idx}: {msg}")
-            total_deaths += report.deaths
-            phases_hit |= set(report.sites_crashed)
-            failed |= not report.ok
-        print(f"replication fuzz: {total_deaths} injected deaths total")
-        if total_deaths < args.min_deaths:
-            print(
-                f"  INSUFFICIENT DEATH COVERAGE: {total_deaths} < "
-                f"{args.min_deaths}"
-            )
-            failed = True
-        want_phases = {
-            "ship.send", "replica.append", "replica.flush",
-            "antientropy.install", "antientropy.send", "promote.recover",
-        }
-        missing = want_phases - phases_hit
-        if missing:
-            print(f"  REPLICATION PHASES NOT EXERCISED: {sorted(missing)}")
-            failed = True
-
-    fleet_deaths = 0
-    fleet_sites: set = set()
-    if args.fleet:
-        for i in range(args.fleet):
-            report = run_fleet_campaign(args.seed + i, args.fleet_ops)
-            print(report.describe())
-            for idx, msg in report.errors:
-                print(f"  op {idx}: {msg}")
-            fleet_deaths += report.deaths
-            fleet_sites |= set(report.sites_crashed)
-            failed |= not report.ok
-        print(f"fleet fuzz: {fleet_deaths} injected deaths total")
-        if fleet_deaths < args.min_fleet_deaths:
-            print(
-                f"  INSUFFICIENT FLEET DEATH COVERAGE: {fleet_deaths} < "
-                f"{args.min_fleet_deaths}"
-            )
-            failed = True
-        want = {
-            "migrate.snapshot", "migrate.install", "migrate.tail",
-            "migrate.cutover", "rollout.load", "rollout.window",
-            "rollout.promote", "rollout.rollback",
-        }
-        missing = want - fleet_sites
-        if missing:
-            print(f"  FLEET PHASES NOT EXERCISED: {sorted(missing)}")
-            failed = True
-
-    verify_kills = 0
-    if args.verify:
-        for i in range(args.verify):
-            report = run_verify_campaign(
-                args.seed + i, args.verify_programs
-            )
-            print(report.describe())
-            for idx, msg in report.errors:
-                print(f"  job {idx}: {msg}")
-            verify_kills += report.kills
-            failed |= not report.ok
-        print(f"verify fuzz: {verify_kills} injected worker kills total")
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -36,13 +36,12 @@ The matrix:
 
 from __future__ import annotations
 
-import argparse
 import asyncio
+import contextlib
 import gc
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
 
 from repro.apps import l4lb as L4
 from repro.apps.memcached import protocol as P
@@ -67,75 +66,58 @@ from repro.net.client import (
 from repro.net.datapath import FRAME_HDR, TcpDatapath, UdpDatapath
 from repro.net.service import DurableMemcachedService, ExtensionService
 from repro.net.shard import ShardedUdpDatapath
+from repro.sim.campaign import CampaignReport
 from repro.state import DurableStore, MemStorage
-
-
-# ---------------------------------------------------------------------------
-# Report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ScenarioReport:
-    """Outcome of one seeded scenario run."""
-
-    name: str
-    seed: int
-    #: Hash of the offered-traffic plan: same seed → same digest.
-    digest: str
-    requests: int = 0
-    failures: int = 0
-    retries: int = 0
-    baseline_p99_us: float = 0.0
-    loaded_p99_us: float = 0.0
-    #: Hostile datagrams offered / left unanswered (open-loop floods).
-    attack_offered: int = 0
-    attack_shed: int = 0
-    shed_rate: float = 0.0
-    #: Seconds to drain/quiesce after the hostile phase.
-    recovery_s: float = 0.0
-    #: Acked SETs whose readback was verified.
-    acked_checked: int = 0
-    extra: dict = field(default_factory=dict)
-    errors: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def describe(self) -> str:
-        head = (
-            f"[scenario] {self.name:<18} seed={self.seed:<3} "
-            f"{'OK ' if self.ok else 'FAIL'} reqs={self.requests} "
-            f"fail={self.failures} retry={self.retries} "
-            f"p99={self.baseline_p99_us:.0f}us→{self.loaded_p99_us:.0f}us "
-            f"shed={self.shed_rate:.1%} acked={self.acked_checked} "
-            f"recover={self.recovery_s:.2f}s digest={self.digest}"
-        )
-        if self.errors:
-            head += "".join(f"\n    error: {e}" for e in self.errors)
-        return head
 
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
+#: Counters every scenario reports, in print order (runners append
+#: their own details after these):
+#: legitimate requests / failures / retries, unloaded and loaded p99,
+#: hostile datagrams offered and left unanswered (open-loop floods),
+#: seconds to drain/quiesce after the hostile phase, and acked SETs
+#: whose readback was verified.
+COUNTS = (
+    "requests", "failures", "retries", "baseline_p99_us", "loaded_p99_us",
+    "attack_offered", "attack_shed", "shed_rate", "recovery_s",
+    "acked_checked",
+)
 
-def _digest(name: str, seed: int, plan) -> str:
+
+def _report(name: str, seed: int, plan, info: tuple = ()) -> CampaignReport:
+    """A scenario's report.  Its digest hashes the offered-traffic
+    plan: same seed → same digest.  ``info`` names the counters this
+    scenario records but no oracle gates."""
     h = hashlib.sha256()
     h.update(f"{name}:{seed}".encode())
     h.update(repr(plan).encode())
-    return h.hexdigest()[:16]
+    return CampaignReport(
+        name, seed, digest=h.hexdigest()[:16],
+        counts=dict.fromkeys(COUNTS, 0), info=info,
+    )
 
 
-def _plan_workload(plan):
-    """Closed-loop workload indexing a precomputed per-client plan."""
+def _tally(rep: CampaignReport, runs, base, loaded) -> None:
+    """Sum the legitimate-traffic ``runs`` into ``rep``; ``base`` and
+    ``loaded`` are the runs whose p99 is the unloaded / loaded figure
+    (``base`` None: the scenario measures no unloaded phase)."""
+    c = rep.counts
+    for key in ("requests", "failures", "retries"):
+        c[key] = sum(getattr(r, key) for r in runs)
+    c["baseline_p99_us"] = None if base is None else base.latency.p99_us
+    c["loaded_p99_us"] = loaded.latency.p99_us
 
-    def workload(cid, seq):
-        return plan[cid][seq]
 
-    return workload
+def _closed_loop(generator, ports, plan, **kwargs):
+    """A logging closed-loop load ``generator`` (UDP or TCP) replaying
+    a precomputed per-client plan: one client per plan row."""
+    return generator(
+        ports, lambda cid, seq: plan[cid][seq], n_clients=len(plan),
+        requests_per_client=len(plan[0]), keep_log=True, **kwargs,
+    )
 
 
 def _cycle_workload(cycle):
@@ -168,27 +150,23 @@ def _raw_get(key: bytes) -> bytes:
     return bytes(pkt)
 
 
-def _acked_sets(log, hdr: int = 0) -> dict:
-    """``key bytes -> value bytes`` for every acknowledged SET.
+def _verify_acked(rep: CampaignReport, runs, get_fn, hdr: int = 0) -> None:
+    """Every SET acked in ``runs`` must read back with its exact value.
 
     SET keys are unique per request in every scenario plan, so the
     oracle is exact: an acked key must read back *its* value — no
     last-write-wins ambiguity from retried/duplicated datagrams.
     """
-    acked = {}
-    for _cid, _seq, payload, reply in log:
-        inner = payload[hdr:]
-        if inner[0] != P.OP_SET or reply is None:
-            continue
-        hit, _ = P.decode_reply(reply)
-        if hit:
-            key = bytes(inner[P.KEY_OFF:P.KEY_OFF + P.KEY_SIZE])
-            acked[key] = bytes(inner[P.VAL_OFF:P.VAL_OFF + P.VAL_SIZE])
-    return acked
-
-
-def _verify_acked(acked: dict, get_fn, errors: list, label: str) -> int:
-    """Every acked SET must read back with its exact value."""
+    acked = {}  # key bytes -> value bytes
+    for res in runs:
+        for _cid, _seq, payload, reply in res.log:
+            inner = payload[hdr:]
+            if inner[0] != P.OP_SET or reply is None:
+                continue
+            hit, _ = P.decode_reply(reply)
+            if hit:
+                key = bytes(inner[P.KEY_OFF:P.KEY_OFF + P.KEY_SIZE])
+                acked[key] = bytes(inner[P.VAL_OFF:P.VAL_OFF + P.VAL_SIZE])
     lost = 0
     for key, val in acked.items():
         reply = get_fn(key)
@@ -200,8 +178,8 @@ def _verify_acked(acked: dict, get_fn, errors: list, label: str) -> int:
         ):
             lost += 1
     if lost:
-        errors.append(f"{label}: {lost}/{len(acked)} acked writes lost")
-    return len(acked)
+        rep.error(None, f"{rep.name}: {lost}/{len(acked)} acked writes lost")
+    rep.counts["acked_checked"] = len(acked)
 
 
 def _p99_limit_us(base_us: float, factor: float = 3.0,
@@ -215,20 +193,29 @@ def _p99_limit_us(base_us: float, factor: float = 3.0,
     return factor * max(base_us, base_floor_us)
 
 
-async def _probe_with_retry(make_probe, base_p99_us: float) -> list:
-    """Run the post-recovery probe, and once more if *only* the p99
-    bound tripped.
+def _gate_p99(rep: CampaignReport, phase: str, p99_us: float) -> None:
+    """The p99 oracle: ``p99_us`` within the limit of the run's
+    unloaded baseline.  Only p99s passed here are gated."""
+    limit = _p99_limit_us(rep.counts["baseline_p99_us"])
+    if p99_us > limit:
+        rep.error(None, f"{phase} p99 {p99_us:.0f}us > {limit:.0f}us bound")
+
+
+async def _retry_p99(measure, base_p99_us: float) -> list:
+    """Run the measured phase ``measure()``, and once more if *only*
+    the p99 bound tripped.
 
     A single multi-ms OS/scheduler stall lands in every concurrent
     client's latency sample at once, so no sample count can dilute it
-    out of p99.  A genuinely unrecovered datapath fails both
-    attempts; request failures are never retried away.  Returns every
-    probe result (the last one is the measurement)."""
+    out of p99.  A genuinely unrecovered datapath (or a real shedder
+    regression) fails both attempts; request failures are never
+    retried away.  Returns every result (the last one is the
+    measurement)."""
     runs = []
     for _attempt in range(2):
-        probe = await make_probe()
-        runs.append(probe)
-        if probe.failures or probe.latency.p99_us <= _p99_limit_us(
+        res = await measure()
+        runs.append(res)
+        if res.failures or res.latency.p99_us <= _p99_limit_us(
             base_p99_us
         ):
             break
@@ -242,6 +229,36 @@ async def _observe_loop(adm: AdaptiveAdmission, dp, stop: asyncio.Event,
     while not stop.is_set():
         adm.observe(dp.queue_depth())
         await asyncio.sleep(interval)
+
+
+@contextlib.asynccontextmanager
+async def _adaptive_userspace(usm: UserspaceMemcached, service_s: float):
+    """``(admission, datapath)``: a UDP datapath whose userspace
+    memcached takes ``service_s`` per request, behind AIMD admission
+    fed by the overload-telemetry loop."""
+    runtime = KFlexRuntime()
+
+    async def userspace(payload):
+        await asyncio.sleep(service_s)
+        return usm.handle(payload)
+
+    service = ExtensionService(runtime, ext=None, userspace=userspace)
+    adm = AdaptiveAdmission(
+        AdmissionPolicy(max_inflight=16, max_queue=16),
+        AdaptiveConfig(floor=4, increase=4, queue_high=0.5),
+    )
+    dp = UdpDatapath(service, admission=adm, n_workers=4)
+    await dp.start()
+    stop = asyncio.Event()
+    observer = asyncio.get_running_loop().create_task(
+        _observe_loop(adm, dp, stop)
+    )
+    try:
+        yield adm, dp
+    finally:
+        stop.set()
+        await asyncio.gather(observer, return_exceptions=True)
+        await dp.stop(1.0)
 
 
 async def _wait_drained(adm, dp, bound_s: float) -> float:
@@ -286,75 +303,54 @@ def _mc_plan(rng, n_clients: int, n_reqs: int, key_base: int,
 # ---------------------------------------------------------------------------
 
 
-async def _flash_crowd(seed: int) -> ScenarioReport:
+async def _flash_crowd(seed: int) -> CampaignReport:
     rng = random.Random(f"flash_crowd:{seed}")
     # 2x50 baseline/probe: 100 samples keeps p99 one step below the
     # max, so a single OS-scheduler stall cannot fail the oracle.
     base_plan = _mc_plan(rng, 2, 50, 0)
     crowd_plan = _mc_plan(rng, 24, 25, 1_000_000)
     probe_plan = _mc_plan(rng, 2, 50, 2_000_000)
-    rep = ScenarioReport(
-        "flash_crowd", seed,
-        _digest("flash_crowd", seed, (base_plan, crowd_plan, probe_plan)),
+    # The crowd-phase p99 is only drift-gated (bench_scenarios.py);
+    # the oracle gates the post-crowd probe.
+    rep = _report(
+        "flash_crowd", seed, (base_plan, crowd_plan, probe_plan),
+        info=("loaded_p99_us",),
     )
+    c = rep.counts
 
-    runtime = KFlexRuntime()
     usm = UserspaceMemcached()
-
-    async def userspace(payload):
-        # 4ms service time → ~1000 rps capacity across 4 workers; the
-        # crowd below offers ~4× that, so overload is decisive.
-        await asyncio.sleep(0.004)
-        return usm.handle(payload)
-
-    service = ExtensionService(runtime, ext=None, userspace=userspace)
-    adm = AdaptiveAdmission(
-        AdmissionPolicy(max_inflight=16, max_queue=16),
-        AdaptiveConfig(floor=4, increase=4, queue_high=0.5),
-    )
-    dp = UdpDatapath(service, admission=adm, n_workers=4)
-    await dp.start()
-    stop = asyncio.Event()
-    observer = asyncio.get_running_loop().create_task(
-        _observe_loop(adm, dp, stop)
-    )
-    try:
-        base = await UdpLoadGenerator(
-            [dp.port], _plan_workload(base_plan), n_clients=2,
-            requests_per_client=50, timeout=0.3, retries=12,
-            matcher=_mc_matcher, keep_log=True, think_s=0.01,
+    # 4ms service time → ~1000 rps capacity across 4 workers; the
+    # crowd below offers ~4× that, so overload is decisive.
+    async with _adaptive_userspace(usm, 0.004) as (adm, dp):
+        base = await _closed_loop(
+            UdpLoadGenerator, [dp.port], base_plan, timeout=0.3, retries=12,
+            matcher=_mc_matcher, think_s=0.01,
         ).run()
         base.latency.discard_first(2)  # cold-start spikes are not load
-        crowd = await UdpLoadGenerator(
-            [dp.port], _plan_workload(crowd_plan), n_clients=24,
-            requests_per_client=25, timeout=0.2, retries=12,
-            matcher=_mc_matcher, keep_log=True, think_s=0.002,
+        crowd = await _closed_loop(
+            UdpLoadGenerator, [dp.port], crowd_plan, timeout=0.2, retries=12,
+            matcher=_mc_matcher, think_s=0.002,
         ).run()
-        rep.recovery_s = await _wait_drained(adm, dp, 2.0)
-        if rep.recovery_s < 0:
-            rep.errors.append("queue did not drain within 2s of crowd end")
-            rep.recovery_s = 2.0
+        c["recovery_s"] = await _wait_drained(adm, dp, 2.0)
+        if c["recovery_s"] < 0:
+            rep.error(None, "queue did not drain within 2s of crowd end")
+            c["recovery_s"] = 2.0
         await asyncio.sleep(0.3)  # let the observer relax the limit
-        probe_runs = await _probe_with_retry(
-            lambda: UdpLoadGenerator(
-                [dp.port], _plan_workload(probe_plan), n_clients=2,
-                requests_per_client=50, timeout=0.3, retries=12,
-                matcher=_mc_matcher, keep_log=True, think_s=0.01,
+        probe_runs = await _retry_p99(
+            lambda: _closed_loop(
+                UdpLoadGenerator, [dp.port], probe_plan, timeout=0.3,
+                retries=12, matcher=_mc_matcher, think_s=0.01,
             ).run(),
             base.latency.p99_us,
         )
         probe = probe_runs[-1]
 
-        rep.requests = base.requests + crowd.requests + probe.requests
-        rep.failures = base.failures + crowd.failures + probe.failures
-        rep.retries = base.retries + crowd.retries + probe.retries
-        rep.baseline_p99_us = base.latency.p99_us
-        rep.loaded_p99_us = crowd.latency.p99_us
+        _tally(rep, (base, crowd, probe), base, crowd)
         sheds = adm.stats.shed_inflight + adm.stats.shed_queue
-        rep.attack_offered = crowd.requests
-        rep.attack_shed = sheds
-        rep.shed_rate = sheds / max(1, crowd.requests + sheds)
-        rep.extra = {
+        c["attack_offered"] = crowd.requests
+        c["attack_shed"] = sheds
+        c["shed_rate"] = sheds / max(1, crowd.requests + sheds)
+        c.update({
             "sheds": sheds,
             "tightenings": adm.adaptive.tightenings,
             "relaxations": adm.adaptive.relaxations,
@@ -362,36 +358,25 @@ async def _flash_crowd(seed: int) -> ScenarioReport:
             "final_limit": adm.limit,
             "top_shed_sources": adm.stats.top_shed_sources(3),
             "probe_attempts": len(probe_runs),
-        }
+        })
 
-        if rep.failures:
-            rep.errors.append(f"{rep.failures} legitimate requests failed")
+        if c["failures"]:
+            rep.error(None, f"{c['failures']} legitimate requests failed")
         if sheds == 0:
-            rep.errors.append("crowd never pressed admission (under-load)")
+            rep.error(None, "crowd never pressed admission (under-load)")
         if adm.adaptive.tightenings == 0:
-            rep.errors.append("adaptive admission never tightened")
+            rep.error(None, "adaptive admission never tightened")
         if adm.limit != adm.ceiling:
-            rep.errors.append(
+            rep.error(
+                None,
                 f"limit stuck at {adm.limit} after drain (ceiling "
-                f"{adm.ceiling})"
+                f"{adm.ceiling})",
             )
-        limit = _p99_limit_us(rep.baseline_p99_us)
-        if probe.latency.p99_us > limit:
-            rep.errors.append(
-                f"post-crowd p99 {probe.latency.p99_us:.0f}us > "
-                f"{limit:.0f}us bound"
-            )
-        acked = {}
-        for res in (base, crowd, *probe_runs):
-            acked.update(_acked_sets(res.log))
-        rep.acked_checked = _verify_acked(
-            acked, lambda key: usm.handle(_raw_get(key)), rep.errors,
-            "flash_crowd",
+        _gate_p99(rep, "post-crowd", probe.latency.p99_us)
+        _verify_acked(
+            rep, (base, crowd, *probe_runs),
+            lambda key: usm.handle(_raw_get(key)),
         )
-    finally:
-        stop.set()
-        await asyncio.gather(observer, return_exceptions=True)
-        await dp.stop(1.0)
     return rep
 
 
@@ -403,7 +388,7 @@ async def _flash_crowd(seed: int) -> ScenarioReport:
 async def _flood_scenario(name: str, seed: int, *, config: RateLimitConfig,
                           attack_cycle_fn, n_attack_srcs: int,
                           expect_garbage: bool = False,
-                          legit_think_s: float = 0.01) -> ScenarioReport:
+                          legit_think_s: float = 0.01) -> CampaignReport:
     """Shared harness for ``syn_flood`` / ``udp_flood``.
 
     Legitimate clients are *paced* (think time) — they model real
@@ -422,10 +407,8 @@ async def _flood_scenario(name: str, seed: int, *, config: RateLimitConfig,
     load_plan = _mc_plan(rng, 4, 30, 500_000, envelope=envelope)
     attack_srcs = sorted(rng.sample(range(10_000, 60_000), n_attack_srcs))
     attack_cycle = attack_cycle_fn(rng, attack_srcs)
-    rep = ScenarioReport(
-        name, seed,
-        _digest(name, seed, (base_plan, load_plan, attack_cycle, config)),
-    )
+    rep = _report(name, seed, (base_plan, load_plan, attack_cycle, config))
+    c = rep.counts
 
     store = DurableStore(storage=MemStorage())
     inner = DurableMemcachedService(store=store, pin="mc")
@@ -433,21 +416,18 @@ async def _flood_scenario(name: str, seed: int, *, config: RateLimitConfig,
     dp = UdpDatapath(svc, n_workers=2)
     await dp.start()
     try:
-        base = await UdpLoadGenerator(
-            [dp.port], _plan_workload(base_plan), n_clients=4,
-            requests_per_client=15, timeout=0.4, retries=8,
-            matcher=_env_matcher(8), keep_log=True, think_s=legit_think_s,
+        base = await _closed_loop(
+            UdpLoadGenerator, [dp.port], base_plan, timeout=0.4, retries=8,
+            matcher=_env_matcher(8), think_s=legit_think_s,
         ).run()
         base.latency.discard_first(2)  # cold-start spikes are not load
-        acked_runs = [base]
-        attempts = 0
-        for _attempt in range(2):
-            attempts += 1
-            legit_gen = UdpLoadGenerator(
-                [dp.port], _plan_workload(load_plan), n_clients=4,
-                requests_per_client=30, timeout=0.4, retries=8,
-                matcher=_env_matcher(8), keep_log=True,
-                think_s=legit_think_s,
+        flood = None
+
+        async def attack_round():
+            nonlocal flood
+            legit_gen = _closed_loop(
+                UdpLoadGenerator, [dp.port], load_plan, timeout=0.4,
+                retries=8, matcher=_env_matcher(8), think_s=legit_think_s,
             )
             # Outstanding-window pacing: replies are mostly shed, so the
             # offered rate settles near window/stall_s (~4k pps) — enough
@@ -463,64 +443,45 @@ async def _flood_scenario(name: str, seed: int, *, config: RateLimitConfig,
             legit, flood = await asyncio.gather(
                 legit_gen.run(), flood_gen.run()
             )
-            acked_runs.append(legit)
             t0 = time.monotonic()
             await _wait_drained(dp.admission, dp, 1.0)
-            rep.recovery_s = time.monotonic() - t0
-            if legit.failures or legit.latency.p99_us <= _p99_limit_us(
-                base.latency.p99_us
-            ):
-                break
-            # Only the p99 bound tripped: a single multi-ms OS/scheduler
-            # stall lands in every concurrent client's sample at once
-            # and no sample count can dilute it out of p99.  Re-measure
-            # once — a real shedder regression fails both attempts.
+            c["recovery_s"] = time.monotonic() - t0
+            return legit
 
-        rep.requests = base.requests + legit.requests
-        rep.failures = base.failures + legit.failures
-        rep.retries = base.retries + legit.retries
-        rep.baseline_p99_us = base.latency.p99_us
-        rep.loaded_p99_us = legit.latency.p99_us
-        rep.attack_offered = flood.sent
-        rep.attack_shed = flood.sent - flood.replies
-        rep.shed_rate = flood.loss
+        legit_runs = await _retry_p99(attack_round, base.latency.p99_us)
+        legit = legit_runs[-1]
+
+        _tally(rep, (base, legit), base, legit)
+        c["attack_offered"] = flood.sent
+        c["attack_shed"] = flood.sent - flood.replies
+        c["shed_rate"] = flood.loss
         attack_drops = svc.drops_for(attack_srcs)
         legit_drops = svc.drops_for(legit_srcs)
-        rep.extra = {
+        c.update({
             "attack_pps": round(flood.pps),
             "attack_drops": attack_drops,
             "legit_drops": legit_drops,
             "syn_acks": svc.syn_acks,
             "garbage_drops": svc.garbage_drops,
-            "attempts": attempts,
-        }
+            "attempts": len(legit_runs),
+        })
 
-        if rep.failures:
-            rep.errors.append(f"{rep.failures} legitimate requests failed")
-        limit = _p99_limit_us(rep.baseline_p99_us)
-        if rep.loaded_p99_us > limit:
-            rep.errors.append(
-                f"legit p99 under flood {rep.loaded_p99_us:.0f}us > "
-                f"{limit:.0f}us (3x unloaded) bound"
-            )
-        if rep.shed_rate < 0.9:
-            rep.errors.append(
-                f"shed only {rep.shed_rate:.1%} of attack (<90%)"
-            )
+        if c["failures"]:
+            rep.error(None, f"{c['failures']} legitimate requests failed")
+        _gate_p99(rep, "legit under flood", c["loaded_p99_us"])
+        if c["shed_rate"] < 0.9:
+            rep.error(None, f"shed only {c['shed_rate']:.1%} of attack (<90%)")
         if attack_drops == 0:
-            rep.errors.append("no drops attributed to attack sources")
+            rep.error(None, "no drops attributed to attack sources")
         if legit_drops:
-            rep.errors.append(
-                f"{legit_drops} drops charged to legitimate sources"
+            rep.error(
+                None, f"{legit_drops} drops charged to legitimate sources"
             )
         if expect_garbage and svc.garbage_drops == 0:
-            rep.errors.append("wire garbage was never dropped")
-        acked = {}
-        for res in acked_runs:  # every attempt's acks must persist
-            acked.update(_acked_sets(res.log, hdr=8))
-        rep.acked_checked = _verify_acked(
-            acked, lambda key: inner.ingress(_raw_get(key))[0],
-            rep.errors, name,
+            rep.error(None, "wire garbage was never dropped")
+        _verify_acked(  # every attempt's acks must persist
+            rep, (base, *legit_runs),
+            lambda key: inner.ingress(_raw_get(key))[0], hdr=8,
         )
     finally:
         await dp.stop(1.0)
@@ -546,7 +507,7 @@ def _data_garbage_cycle(rng, srcs):
     return cycle
 
 
-async def _syn_flood(seed: int) -> ScenarioReport:
+async def _syn_flood(seed: int) -> CampaignReport:
     # SYNs cost 40× a DATA packet (80ms of bucket): ~12 SYN-ACKs/s per
     # source, so a spoofed blast is answered for its first burst and
     # starved after, while paced DATA clients (100/s vs 500/s allowed)
@@ -561,7 +522,7 @@ async def _syn_flood(seed: int) -> ScenarioReport:
     )
 
 
-async def _udp_flood(seed: int) -> ScenarioReport:
+async def _udp_flood(seed: int) -> CampaignReport:
     # Few sources, high per-source rate: the token bucket (~42/s/src
     # vs ~1.5k/s/src offered) and the count-min heavy-hitter limit
     # (100/window) both engage; runts and bad-magic frames exercise
@@ -585,7 +546,7 @@ async def _udp_flood(seed: int) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-async def _slow_loris(seed: int) -> ScenarioReport:
+async def _slow_loris(seed: int) -> CampaignReport:
     rng = random.Random(f"slow_loris:{seed}")
     kinds = [
         rng.choice(["silent", "partial_header", "partial_body", "drip"])
@@ -593,10 +554,14 @@ async def _slow_loris(seed: int) -> ScenarioReport:
     ]
     base_plan = _mc_plan(rng, 2, 10, 0)
     legit_plan = _mc_plan(rng, 4, 30, 1_000_000)
-    rep = ScenarioReport(
-        "slow_loris", seed,
-        _digest("slow_loris", seed, (kinds, base_plan, legit_plan)),
+    # No oracle gates the p99s: the loaded one (~200 ms) includes the
+    # 80 ms retry backoff of clients refused while the loris holds the
+    # connection table.
+    rep = _report(
+        "slow_loris", seed, (kinds, base_plan, legit_plan),
+        info=("baseline_p99_us", "loaded_p99_us"),
     )
+    c = rep.counts
 
     store = DurableStore(storage=MemStorage())
     service = DurableMemcachedService(store=store, pin="mc")
@@ -658,9 +623,8 @@ async def _slow_loris(seed: int) -> ScenarioReport:
             await asyncio.sleep(0.05)
 
     try:
-        base = await TcpLoadGenerator(
-            [dp.port], _plan_workload(base_plan), n_clients=2,
-            requests_per_client=10, timeout=0.5, retries=8, keep_log=True,
+        base = await _closed_loop(
+            TcpLoadGenerator, [dp.port], base_plan, timeout=0.5, retries=8
         ).run()
         loop = asyncio.get_running_loop()
         attackers = [loop.create_task(attacker(k)) for k in kinds]
@@ -668,58 +632,50 @@ async def _slow_loris(seed: int) -> ScenarioReport:
         # A refused connection fails instantly; the backoff makes the
         # retry budget span several idle-reap cycles so a legitimate
         # client always finds a freed slot.
-        legit = await TcpLoadGenerator(
-            [dp.port], _plan_workload(legit_plan), n_clients=4,
-            requests_per_client=30, timeout=0.5, retries=12,
-            keep_log=True, think_s=0.005, retry_backoff_s=0.08,
+        legit = await _closed_loop(
+            TcpLoadGenerator, [dp.port], legit_plan, timeout=0.5, retries=12,
+            think_s=0.005, retry_backoff_s=0.08,
         ).run()
         stop.set()
         await asyncio.gather(*attackers, return_exceptions=True)
 
-        rep.requests = base.requests + legit.requests
-        rep.failures = base.failures + legit.failures
-        rep.retries = base.retries + legit.retries
-        rep.baseline_p99_us = base.latency.p99_us
-        rep.loaded_p99_us = legit.latency.p99_us
-        rep.attack_offered = attempts[0]
-        rep.attack_shed = (
+        _tally(rep, (base, legit), base, legit)
+        c["attack_offered"] = attempts[0]
+        c["attack_shed"] = (
             adm.stats.refused_connections + adm.stats.idle_closed
         )
-        rep.shed_rate = min(1.0, rep.attack_shed / max(1, attempts[0]))
-        rep.extra = {
+        c["shed_rate"] = min(1.0, c["attack_shed"] / max(1, attempts[0]))
+        c.update({
             "idle_closed": adm.stats.idle_closed,
             "refused_connections": adm.stats.refused_connections,
             "closed_by_server": closed_by_server[0],
             "budget_stalls": adm.stats.budget_stalls,
-        }
+        })
 
-        if rep.failures:
-            rep.errors.append(f"{rep.failures} legitimate requests failed")
+        if c["failures"]:
+            rep.error(None, f"{c['failures']} legitimate requests failed")
         if adm.stats.idle_closed == 0:
-            rep.errors.append("idle deadline never reaped a loris client")
+            rep.error(None, "idle deadline never reaped a loris client")
         if closed_by_server[0] == 0:
-            rep.errors.append("no attacker connection was closed by server")
-        acked = {}
-        for res in (base, legit):
-            acked.update(_acked_sets(res.log))
-        rep.acked_checked = _verify_acked(
-            acked, lambda key: service.ingress(_raw_get(key))[0],
-            rep.errors, "slow_loris",
+            rep.error(None, "no attacker connection was closed by server")
+        _verify_acked(
+            rep, (base, legit), lambda key: service.ingress(_raw_get(key))[0]
         )
     finally:
         stop.set()
         t0 = time.monotonic()
         await dp.stop(1.0)
-        rep.recovery_s = time.monotonic() - t0
+        c["recovery_s"] = time.monotonic() - t0
     if adm.connections != 0:
-        rep.errors.append(
-            f"{adm.connections} connections permanently stuck after stop"
+        rep.error(
+            None, f"{adm.connections} connections permanently stuck after stop"
         )
     if adm.inflight != 0:
-        rep.errors.append(f"{adm.inflight} requests stuck inflight")
+        rep.error(None, f"{adm.inflight} requests stuck inflight")
     if adm.stats.forced_cancellations:
-        rep.errors.append(
-            f"{adm.stats.forced_cancellations} forced cancellations at stop"
+        rep.error(
+            None,
+            f"{adm.stats.forced_cancellations} forced cancellations at stop",
         )
     return rep
 
@@ -745,7 +701,7 @@ def _skewed_plan(rng, hot_keys, n_clients, n_reqs, key_base):
     return plan
 
 
-async def _hot_key_migration(seed: int) -> ScenarioReport:
+async def _hot_key_migration(seed: int) -> CampaignReport:
     rng = random.Random(f"hot_key_migration:{seed}")
 
     def factory(i):
@@ -760,10 +716,10 @@ async def _hot_key_migration(seed: int) -> ScenarioReport:
     hot_b = [k for k in range(1_000, 60_000) if ring.shard_of(k) == 1][:8]
     plan_a = _skewed_plan(rng, hot_a, 4, 40, 2_000_000)
     plan_b = _skewed_plan(rng, hot_b, 4, 40, 3_000_000)
-    rep = ScenarioReport(
-        "hot_key_migration", seed,
-        _digest("hot_key_migration", seed, (hot_a, hot_b, plan_a, plan_b)),
+    rep = _report(
+        "hot_key_migration", seed, (hot_a, hot_b, plan_a, plan_b)
     )
+    c = rep.counts
     try:
         for k in hot_a + hot_b:  # warm so skewed GETs are hits
             sid = ring.shard_of(k)
@@ -773,44 +729,30 @@ async def _hot_key_migration(seed: int) -> ScenarioReport:
             return [s.datapath.stats.received for s in sharded.shards]
 
         before = shard_received()
-        res_a = await UdpLoadGenerator(
-            sharded.ports, _plan_workload(plan_a), ring=ring, n_clients=4,
-            requests_per_client=40, timeout=0.4, retries=8,
-            matcher=_mc_matcher, keep_log=True,
+        res_a = await _closed_loop(
+            UdpLoadGenerator, sharded.ports, plan_a, ring=ring,
+            timeout=0.4, retries=8, matcher=_mc_matcher,
         ).run()
         mid = shard_received()
-        res_b = await UdpLoadGenerator(
-            sharded.ports, _plan_workload(plan_b), ring=ring, n_clients=4,
-            requests_per_client=40, timeout=0.4, retries=8,
-            matcher=_mc_matcher, keep_log=True,
+        res_b = await _closed_loop(
+            UdpLoadGenerator, sharded.ports, plan_b, ring=ring,
+            timeout=0.4, retries=8, matcher=_mc_matcher,
         ).run()
         after = shard_received()
 
         split_a = [m - b for m, b in zip(mid, before)]
         split_b = [a - m for a, m in zip(after, mid)]
-        rep.requests = res_a.requests + res_b.requests
-        rep.failures = res_a.failures + res_b.failures
-        rep.retries = res_a.retries + res_b.retries
-        rep.baseline_p99_us = res_a.latency.p99_us
-        rep.loaded_p99_us = res_b.latency.p99_us
-        rep.extra = {"phase_a_split": split_a, "phase_b_split": split_b}
+        _tally(rep, (res_a, res_b), res_a, res_b)
+        c.update({"phase_a_split": split_a, "phase_b_split": split_b})
 
-        if rep.failures:
-            rep.errors.append(f"{rep.failures} requests failed")
+        if c["failures"]:
+            rep.error(None, f"{c['failures']} requests failed")
         if not (split_a[0] > split_a[1] and split_b[1] > split_b[0]):
-            rep.errors.append(
-                f"hot-shard dominance did not flip: A={split_a} B={split_b}"
+            rep.error(
+                None,
+                f"hot-shard dominance did not flip: A={split_a} B={split_b}",
             )
-        limit = _p99_limit_us(rep.baseline_p99_us)
-        if rep.loaded_p99_us > limit:
-            rep.errors.append(
-                f"post-migration p99 {rep.loaded_p99_us:.0f}us > "
-                f"{limit:.0f}us bound"
-            )
-        acked = {}
-        for res in (res_a, res_b):
-            acked.update(_acked_sets(res.log))
-
+        _gate_p99(rep, "post-migration", c["loaded_p99_us"])
         # Keys route by their integer id, so readback needs the id a
         # raw key was encoded from: map key bytes -> id from the plan.
         key_ids = {}
@@ -827,13 +769,11 @@ async def _hot_key_migration(seed: int) -> ScenarioReport:
             sid = ring.shard_of(key_ids[key])
             return sharded.shards[sid].service.ingress(_raw_get(key))[0]
 
-        rep.acked_checked = _verify_acked(
-            acked, get_fn, rep.errors, "hot_key_migration"
-        )
+        _verify_acked(rep, (res_a, res_b), get_fn)
     finally:
         t0 = time.monotonic()
         await sharded.stop()
-        rep.recovery_s = time.monotonic() - t0
+        c["recovery_s"] = time.monotonic() - t0
     return rep
 
 
@@ -842,7 +782,7 @@ async def _hot_key_migration(seed: int) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-async def _burst_drain(seed: int) -> ScenarioReport:
+async def _burst_drain(seed: int) -> CampaignReport:
     rng = random.Random(f"burst_drain:{seed}")
     hot = list(range(64))
     burst_cycle = [(0, P.encode_get(rng.choice(hot))) for _ in range(64)]
@@ -850,35 +790,15 @@ async def _burst_drain(seed: int) -> ScenarioReport:
     # max, so a single OS-scheduler stall cannot fail the oracle.
     base_plan = _mc_plan(rng, 2, 50, 0)
     probe_plan = _mc_plan(rng, 2, 50, 1_000_000)
-    rep = ScenarioReport(
-        "burst_drain", seed,
-        _digest("burst_drain", seed, (burst_cycle, base_plan, probe_plan)),
-    )
+    rep = _report("burst_drain", seed, (burst_cycle, base_plan, probe_plan))
+    c = rep.counts
 
-    runtime = KFlexRuntime()
     usm = UserspaceMemcached()
     usm.warm(64)
-
-    async def userspace(payload):
-        await asyncio.sleep(0.002)
-        return usm.handle(payload)
-
-    service = ExtensionService(runtime, ext=None, userspace=userspace)
-    adm = AdaptiveAdmission(
-        AdmissionPolicy(max_inflight=16, max_queue=16),
-        AdaptiveConfig(floor=4, increase=4, queue_high=0.5),
-    )
-    dp = UdpDatapath(service, admission=adm, n_workers=4)
-    await dp.start()
-    stop = asyncio.Event()
-    observer = asyncio.get_running_loop().create_task(
-        _observe_loop(adm, dp, stop)
-    )
-    try:
-        base = await UdpLoadGenerator(
-            [dp.port], _plan_workload(base_plan), n_clients=2,
-            requests_per_client=50, timeout=0.25, retries=12,
-            matcher=_mc_matcher, keep_log=True, think_s=0.01,
+    async with _adaptive_userspace(usm, 0.002) as (adm, dp):
+        base = await _closed_loop(
+            UdpLoadGenerator, [dp.port], base_plan, timeout=0.25, retries=12,
+            matcher=_mc_matcher, think_s=0.01,
         ).run()
         base.latency.discard_first(2)  # cold-start spikes are not load
         drains = []
@@ -891,62 +811,45 @@ async def _burst_drain(seed: int) -> ScenarioReport:
             bursts.append(flood)
             drains.append(await _wait_drained(adm, dp, 1.0))
         await asyncio.sleep(0.3)  # idle: the observer relaxes the limit
-        probe_runs = await _probe_with_retry(
-            lambda: UdpLoadGenerator(
-                [dp.port], _plan_workload(probe_plan), n_clients=2,
-                requests_per_client=50, timeout=0.25, retries=12,
-                matcher=_mc_matcher, keep_log=True, think_s=0.01,
+        probe_runs = await _retry_p99(
+            lambda: _closed_loop(
+                UdpLoadGenerator, [dp.port], probe_plan, timeout=0.25,
+                retries=12, matcher=_mc_matcher, think_s=0.01,
             ).run(),
             base.latency.p99_us,
         )
         probe = probe_runs[-1]
 
-        rep.requests = base.requests + probe.requests
-        rep.failures = base.failures + probe.failures
-        rep.retries = base.retries + probe.retries
-        rep.baseline_p99_us = base.latency.p99_us
-        rep.loaded_p99_us = probe.latency.p99_us
-        rep.attack_offered = sum(f.sent for f in bursts)
-        rep.attack_shed = sum(f.sent - f.replies for f in bursts)
-        rep.shed_rate = rep.attack_shed / max(1, rep.attack_offered)
-        rep.recovery_s = max(drains)
-        rep.extra = {
+        _tally(rep, (base, probe), base, probe)
+        c["attack_offered"] = sum(f.sent for f in bursts)
+        c["attack_shed"] = sum(f.sent - f.replies for f in bursts)
+        c["shed_rate"] = c["attack_shed"] / max(1, c["attack_offered"])
+        c["recovery_s"] = max(drains)
+        c.update({
             "drains_s": [round(d, 3) for d in drains],
             "burst_loss": [round(f.loss, 3) for f in bursts],
             "tightenings": adm.adaptive.tightenings,
             "min_limit": adm.adaptive.min_limit,
             "final_limit": adm.limit,
             "probe_attempts": len(probe_runs),
-        }
+        })
 
-        if rep.failures:
-            rep.errors.append(f"{rep.failures} probe requests failed")
+        if c["failures"]:
+            rep.error(None, f"{c['failures']} probe requests failed")
         if any(d < 0 for d in drains):
-            rep.errors.append(f"burst backlog failed to drain: {drains}")
+            rep.error(None, f"burst backlog failed to drain: {drains}")
         if adm.adaptive.tightenings == 0:
-            rep.errors.append("bursts never tightened the admission limit")
+            rep.error(None, "bursts never tightened the admission limit")
         if adm.limit != adm.ceiling:
-            rep.errors.append(
+            rep.error(
+                None,
                 f"limit stuck at {adm.limit} after idle (ceiling "
-                f"{adm.ceiling})"
+                f"{adm.ceiling})",
             )
-        limit = _p99_limit_us(rep.baseline_p99_us)
-        if rep.loaded_p99_us > limit:
-            rep.errors.append(
-                f"post-drain p99 {rep.loaded_p99_us:.0f}us > "
-                f"{limit:.0f}us bound"
-            )
-        acked = {}
-        for res in (base, *probe_runs):
-            acked.update(_acked_sets(res.log))
-        rep.acked_checked = _verify_acked(
-            acked, lambda key: usm.handle(_raw_get(key)), rep.errors,
-            "burst_drain",
+        _gate_p99(rep, "post-drain", c["loaded_p99_us"])
+        _verify_acked(
+            rep, (base, *probe_runs), lambda key: usm.handle(_raw_get(key))
         )
-    finally:
-        stop.set()
-        await asyncio.gather(observer, return_exceptions=True)
-        await dp.stop(1.0)
     return rep
 
 
@@ -980,12 +883,14 @@ def _l4lb_plan(rng, n_clients, n_reqs, key_base):
     return plan, key_flow
 
 
-async def _l4lb_failover(seed: int) -> ScenarioReport:
+async def _l4lb_failover(seed: int) -> CampaignReport:
     rng = random.Random(f"l4lb_failover:{seed}")
     plan, key_flow = _l4lb_plan(rng, 4, 60, 0)
-    rep = ScenarioReport(
-        "l4lb_failover", seed, _digest("l4lb_failover", seed, plan)
-    )
+    # No unloaded phase is measured, and no oracle gates the p99 across
+    # the failover (~250 ms: one 250 ms retry timeout per request that
+    # hit the dead backend).
+    rep = _report("l4lb_failover", seed, plan, info=("loaded_p99_us",))
+    c = rep.counts
 
     storages = {i: MemStorage() for i in range(3)}
     backends = {
@@ -1021,63 +926,55 @@ async def _l4lb_failover(seed: int) -> ScenarioReport:
 
     try:
         chaos_task = asyncio.get_running_loop().create_task(chaos())
-        legit = await UdpLoadGenerator(
-            [dp.port], _plan_workload(plan), n_clients=4,
-            requests_per_client=60, timeout=0.25, retries=10,
-            matcher=_env_matcher(L4.HDR_SIZE), keep_log=True,
-            think_s=0.003,
+        legit = await _closed_loop(
+            UdpLoadGenerator, [dp.port], plan, timeout=0.25, retries=10,
+            matcher=_env_matcher(L4.HDR_SIZE), think_s=0.003,
         ).run()
         await asyncio.gather(chaos_task)
 
-        rep.requests = legit.requests
-        rep.failures = legit.failures
-        rep.retries = legit.retries
-        rep.loaded_p99_us = legit.latency.p99_us
-        rep.attack_offered = lb.unrouted  # the failover window, measured
-        rep.attack_shed = lb.unrouted
+        _tally(rep, (legit,), None, legit)
+        c["attack_offered"] = lb.unrouted  # the failover window, measured
+        c["attack_shed"] = lb.unrouted
         bindings_post = lb.conn_bindings()
-        rep.extra = {
+        c.update({
             "victim": chaos_log.get("victim"),
             "unrouted": lb.unrouted,
             "forwarded": dict(sorted(lb.forwarded.items())),
             "recovered": chaos_log.get("recovered"),
-        }
+        })
 
-        if rep.failures:
-            rep.errors.append(
-                f"{rep.failures} requests failed across the failover"
+        if c["failures"]:
+            rep.error(
+                None, f"{c['failures']} requests failed across the failover"
             )
         if lb.unrouted == 0:
-            rep.errors.append(
-                "failover window never exercised (no unrouted drops)"
+            rep.error(
+                None, "failover window never exercised (no unrouted drops)"
             )
         if not chaos_log.get("recovered"):
-            rep.errors.append("rebuilt backend did not recover from store")
+            rep.error(None, "rebuilt backend did not recover from store")
         moved = {
             flow: (bid, bindings_post.get(flow))
             for flow, bid in chaos_log.get("bindings_pre", {}).items()
             if bindings_post.get(flow) != bid
         }
         if moved:
-            rep.errors.append(f"flows lost stickiness: {moved}")
-        acked = _acked_sets(legit.log, hdr=L4.HDR_SIZE)
+            rep.error(None, f"flows lost stickiness: {moved}")
 
         def get_fn(key: bytes):
             reply, _path = lb.ingress(L4.wrap(key_flow[key], _raw_get(key)))
             return reply
 
-        rep.acked_checked = _verify_acked(
-            acked, get_fn, rep.errors, "l4lb_failover"
-        )
+        _verify_acked(rep, (legit,), get_fn, hdr=L4.HDR_SIZE)
     finally:
         t0 = time.monotonic()
         await dp.stop(1.0)
-        rep.recovery_s = time.monotonic() - t0
+        c["recovery_s"] = time.monotonic() - t0
     return rep
 
 
 # ---------------------------------------------------------------------------
-# Registry + CLI
+# Registry
 # ---------------------------------------------------------------------------
 
 
@@ -1092,7 +989,7 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, seed: int = 0) -> ScenarioReport:
+def run_scenario(name: str, seed: int = 0) -> CampaignReport:
     """Run one scenario to completion on a private event loop.
 
     The cyclic collector is quiesced for the duration: a gen-2 pass
@@ -1112,40 +1009,3 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioReport:
         gc.enable()
         gc.unfreeze()
         gc.collect()
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="repro.sim.scenarios",
-        description="Adversarial scenario matrix over the repro.net "
-        "datapath (seeded, replayable).",
-    )
-    ap.add_argument(
-        "--scenarios", nargs="+", default=sorted(SCENARIOS),
-        choices=sorted(SCENARIOS), metavar="NAME",
-    )
-    ap.add_argument("--seed", type=int, default=0,
-                    help="first seed (runs use seed..seed+runs-1)")
-    ap.add_argument("--runs", type=int, default=1,
-                    help="seeded runs per scenario")
-    ap.add_argument("--min-runs", type=int, default=0,
-                    help="fail unless at least this many runs executed")
-    args = ap.parse_args(argv)
-
-    total = failures = 0
-    for name in args.scenarios:
-        for seed in range(args.seed, args.seed + args.runs):
-            report = run_scenario(name, seed)
-            total += 1
-            print(report.describe(), flush=True)
-            if not report.ok:
-                failures += 1
-    print(f"[scenario] {total} runs, {failures} failed")
-    if args.min_runs and total < args.min_runs:
-        print(f"[scenario] FAIL: {total} runs < floor {args.min_runs}")
-        return 1
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -5,7 +5,7 @@ run over real loopback sockets with its pass/fail oracles evaluated
 inside (acked writes never lost, graceful shed, bounded recovery,
 p99 envelope).  ``make test-scenarios`` runs this file; the chaos
 sweep (``make chaos-scenarios``) runs the same matrix across many
-seeds via the module CLI.
+seeds via the campaign CLI (``python -m repro.sim.campaign scenarios``).
 """
 
 import pytest
